@@ -12,17 +12,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.tensor import Tensor, concat, grad_enabled
+from hymad.tensor import Tensor, _unbroadcast
 
 
 def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by max subtraction."""
+    """Row-wise softmax over the last axis, stabilized by max subtraction.
+
+    One graph node; the backward is the closed form p * (g - sum(g * p)).
+    """
     m = Tensor._coerce(m)
     if np.isnan(m.data).any():
         raise NumericError("softmax input contains NaN")
-    shifted = m - m.data.max(axis=-1, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    p = m.data - m.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        gp = g * p
+        gp -= p * gp.sum(axis=-1, keepdims=True)
+        return (gp,)
+
+    return Tensor._result(p, (m,), back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -60,29 +70,62 @@ class RnnParams:
 def rnn_forward(f: Tensor, p: RnnParams, h0: Tensor | None = None) -> Tensor:
     """Run the recurrence over a [T, C] or [B, T, C] feature sequence.
 
-    Returns the full hidden-state sequence ([T, H] or [B, T, H]).
+    Returns the full hidden-state sequence ([T, H] or [B, T, H]) as one graph
+    node.  W_x f_t + b is one GEMM over all steps, so only the tanh recurrence
+    loops; the backward (backpropagation through time) loops only for dL/dz_t
+    and forms the weight, bias and input gradients as whole-sequence GEMMs.
     """
     f = Tensor._coerce(f)
-    batched = f.ndim == 3
-    seq = f if batched else f.reshape(1, *f.shape)
+    seq = f.data if f.ndim == 3 else f.data[None]
     bsz, steps, c_in = seq.shape
+    hid = p.hidden
     if p.w_x.shape[1] != c_in:
         raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
+    parents = (f, p.w_h, p.w_x, p.b)
     if h0 is None:
-        h = Tensor(np.zeros((bsz, p.hidden)))
+        h_init = np.zeros((1, hid))
     else:
         h0 = Tensor._coerce(h0)
-        if h0.shape[-1] != p.hidden:
-            raise ShapeError(f"h0 width {h0.shape[-1]} != hidden {p.hidden}")
-        h = h0 if h0.ndim == 2 else h0.reshape(1, -1)
+        if h0.shape[-1] != hid:
+            raise ShapeError(f"h0 width {h0.shape[-1]} != hidden {hid}")
+        h_init = h0.data.reshape(-1, hid)
+        parents += (h0,)
+    w_h, w_x = p.w_h.data, p.w_x.data
+    flat = seq.reshape(-1, c_in)
 
-    wht, wxt = p.w_h.T, p.w_x.T
-    states = []
+    pre = (flat @ w_x.T + p.b.data).reshape(bsz, steps, hid)
+    hs = np.empty((bsz, steps, hid))
+    h = h_init
     for t in range(steps):
-        h = (h @ wht + seq[:, t, :] @ wxt + p.b).tanh()
-        states.append(h.reshape(bsz, 1, p.hidden))
-    out = concat(states, axis=1)
-    return out if batched else out.reshape(steps, p.hidden)
+        h = np.tanh(h @ w_h.T + pre[:, t], out=hs[:, t])
+
+    def back(g):
+        dz = 1.0 - hs * hs                  # tanh' at every step
+        g = g.reshape(hs.shape)
+        carry = 0.0                         # dL/dh_t through h_{t+1}
+        for t in range(steps - 1, -1, -1):
+            dz[:, t] *= g[:, t] + carry
+            carry = dz[:, t] @ w_h
+        dz_flat = dz.reshape(-1, hid)
+        gf = gwh = gwx = gb = None
+        if f.requires_grad:
+            gf = (dz_flat @ w_x).reshape(f.shape)
+        if p.w_h.requires_grad:
+            h_prev = np.empty_like(hs)
+            h_prev[:, 0] = h_init
+            h_prev[:, 1:] = hs[:, :-1]
+            gwh = dz_flat.T @ h_prev.reshape(-1, hid)
+        if p.w_x.requires_grad:
+            gwx = dz_flat.T @ flat
+        if p.b.requires_grad:
+            gb = dz_flat.sum(axis=0)
+        if h0 is None:
+            return (gf, gwh, gwx, gb)
+        gh0 = _unbroadcast(carry, (h_init.shape[0], hid)).reshape(h0.shape) \
+            if h0.requires_grad else None
+        return (gf, gwh, gwx, gb, gh0)
+
+    return Tensor._result(hs if f.ndim == 3 else hs[0], parents, back)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:
@@ -109,95 +152,41 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
 
     z = logits.data
     val = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - z * y).mean()
-
-    def back(g):
-        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                       np.exp(z) / (1.0 + np.exp(z)))
-        return (g * (sig - y) / z.size,)
-
-    return Tensor._result(val, (logits,), back)
+    return Tensor._result(val, (logits,),
+                          lambda g: (g * (sigmoid(z) - y) / z.size,))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                    np.exp(z) / (1.0 + np.exp(z)))
+    """Logistic function; exp only ever sees -|z|, so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def conv1d_same(x: Tensor, kernels: Tensor) -> Tensor:
-    """Same-padded 1-d convolution of signals with a filter bank, via FFT.
+    """Same-padded 1-d convolution of signals with a filter bank.
 
     x: [T] or [B, T]; kernels: [C, L] with odd L, stored over centered lags
     -(L-1)/2 .. (L-1)/2.  Output [B, C, T] (or [C, T] for a single signal):
     y[b, c, m] = sum_n x[b, m-n] k[c, n], zero-padded at the edges.
+    This is conv1d_strided at stride 1.
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
-    single = x.ndim == 1
-    xd = x.data[None, :] if single else x.data
-    kd = kernels.data
-    if kd.ndim != 2:
-        raise ShapeError(f"kernels must be [C, L], got {kernels.shape}")
-    bsz, t_len = xd.shape
-    n_filt, l_len = kd.shape
-    if l_len % 2 != 1:
-        raise ShapeError(f"kernel length must be odd, got {l_len}")
-    if t_len < l_len:
-        raise ShapeError(f"signal length {t_len} < kernel length {l_len}")
-    half = (l_len - 1) // 2
-
-    nfft = 1 << (t_len + l_len - 1).bit_length()
-    xf = np.fft.rfft(xd, nfft)                      # [B, F]
-    kf = np.fft.rfft(kd, nfft)                      # [C, F]
-    full = np.fft.irfft(xf[:, None, :] * kf[None, :, :], nfft)
-    out = full[:, :, half:half + t_len]             # 'same' window of full conv
-
-    def back(g):
-        gx = gk = None
-        gf = np.fft.rfft(g, nfft)                   # [B, C, F]
-        if x.requires_grad:
-            # dL/dx = same-conv of grad with the reversed kernel
-            krev_f = np.fft.rfft(kd[:, ::-1], nfft)
-            gx_full = np.fft.irfft((gf * krev_f[None, :, :]).sum(axis=1), nfft)
-            gx = gx_full[:, half:half + t_len]
-            if single:
-                gx = gx[0]
-        if kernels.requires_grad:
-            # dL/dk[c, n] = sum_{b,m} g[b,c,m] x[b, m-n], n in [-half, half]
-            xrev_f = np.fft.rfft(xd[:, ::-1], nfft)
-            corr = np.fft.irfft(gf * xrev_f[:, None, :], nfft).sum(axis=0)
-            # corr[k] = sum_m g[m] x[T-1-k+m]; lag n sits at k = T-1+n
-            gk = corr[:, t_len - 1 - half:t_len + half]
-        return (gx, gk)
-
-    out_t = Tensor._result(out, (x, kernels), back)
-    return out_t.reshape(n_filt, t_len) if single else out_t
-
-
-def conv1d_same_naive(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Double-loop reference for conv1d_same; used by tests as the oracle."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    n_filt, l_len = kernels.shape
-    half = (l_len - 1) // 2
-    t_len = x.shape[0]
-    out = np.zeros((n_filt, t_len))
-    for c in range(n_filt):
-        for m in range(t_len):
-            acc = 0.0
-            for n in range(-half, half + 1):
-                idx = m - n
-                if 0 <= idx < t_len:
-                    acc += x[idx] * kernels[c, n + half]
-            out[c, m] = acc
-    return out
+    if x.shape[-1] < kernels.shape[-1]:
+        raise ShapeError(
+            f"signal length {x.shape[-1]} < kernel length {kernels.shape[-1]}")
+    if x.ndim == 1:
+        out = conv1d_strided(x.reshape(1, -1), kernels, 1)
+        return out.reshape(*out.shape[1:])
+    return conv1d_strided(x, kernels, 1)
 
 
 def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
                    chunk: int = 16) -> Tensor:
-    """conv1d_same evaluated only at every `stride`-th lag.
+    """Same-padded convolution (see conv1d_same) at every `stride`-th lag.
 
-    Exactly equals conv1d_same(x, kernels)[..., ::stride] but never
-    materialises the full-resolution convolution; the batch is processed in
-    chunks so the patch matrices stay small.
+    Equals conv1d_same(x, kernels)[..., ::stride] but never materialises the
+    full-resolution convolution; the batch is processed in chunks so the
+    patch matrices stay small.
     x: [B, T]; kernels: [C, L] odd-length centered lags; returns [B, C, T/stride].
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)

@@ -18,7 +18,7 @@ from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad.sincnet import SincFilterBank, bank_kernels, init_filterbank
 from hymad.functional import RnnParams
-from hymad.tensor import Tensor, concat
+from hymad.tensor import Tensor, _unbroadcast, concat
 
 FUSION_MODES = ("cross_attention", "concat", "freq_only", "temp_only")
 FRONTENDS = ("sinc", "plain")
@@ -136,9 +136,22 @@ def _multihead(q_src: Tensor, kv_src: Tensor, p: dict, prefix: str,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / (var + eps).sqrt() * gain + bias
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node."""
+    x, gain, bias = (Tensor._coerce(t) for t in (x, gain, bias))
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+
+    def back(g):
+        gg = g * gain.data
+        gx = gg - gg.mean(axis=-1, keepdims=True)
+        gx -= xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+        gx *= inv
+        return (gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
+
+    out = xhat * gain.data
+    out += bias.data
+    return Tensor._result(out, (x, gain, bias), back)
 
 
 def self_attention_block(x: Tensor, params: dict, prefix: str,

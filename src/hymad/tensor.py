@@ -2,15 +2,19 @@
 
 Tensors form an acyclic computation graph; calling `backward()` on a scalar
 root accumulates gradients additively into every ancestor that requires
-them.  Gradients persist across backward calls until explicitly zeroed,
-which is what the optimizer relies on.
+them.  Only leaves (tensors without parents, such as parameters) keep their
+`.grad` after `backward()`; an intermediate node's gradient is freed as soon
+as it has been propagated to the node's parents.  Leaf gradients persist
+across backward calls until explicitly zeroed, which is what the optimizer
+relies on.  A gradient array handed out by `backward()` is never written to
+afterwards, so a caller may hold on to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hymad.errors import NumericError, ShapeError
+from hymad.errors import ShapeError
 
 _grad_enabled = True
 
@@ -83,12 +87,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -114,10 +112,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
 
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
-
+        self.grad = np.ones_like(self.data) if self.grad is None \
+            else self.grad + 1.0
+        # Gradient arrays may be shared: `_unbroadcast` returns its input,
+        # `__add__` hands one array to both parents, and reshape/split hand
+        # out views.  So the first contribution is adopted by reference and
+        # only a sum allocated here is ever updated in place.
+        owned: set[int] = set()
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
@@ -125,8 +126,13 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + pgrad
+                    parent.grad = pgrad
+                elif id(parent) in owned:
+                    parent.grad += pgrad
+                else:
+                    parent.grad = parent.grad + pgrad
+                    owned.add(id(parent))
+            node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -195,10 +201,6 @@ class Tensor:
         a = self
         out_data = np.sqrt(a.data)
         return Tensor._result(out_data, (a,), lambda g: (g * 0.5 / out_data,))
-
-    def sin(self):
-        a = self
-        return Tensor._result(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
 
     def tanh(self):
         a = self
@@ -279,15 +281,25 @@ class Tensor:
             raise ShapeError(
                 f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 
+        # a weight shared by all rows: 2-D GEMMs, its gradient in one product
+        rows = b.ndim == 2 and a.ndim > 2
+
         def back(g):
             ga = gb = None
             if a.requires_grad:
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            if b.requires_grad:
+            if b.requires_grad and rows:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
+            elif b.requires_grad:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
             return (ga, gb)
 
-        return Tensor._result(a.data @ b.data, (a, b), back)
+        if rows:
+            out = (a.data.reshape(-1, a.shape[-1]) @ b.data) \
+                .reshape(*a.shape[:-1], b.shape[1])
+        else:
+            out = a.data @ b.data
+        return Tensor._result(out, (a, b), back)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -300,18 +312,3 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     return Tensor._result(
         np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [Tensor._coerce(t) for t in tensors]
-
-    def back(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return Tensor._result(
-        np.stack([t.data for t in tensors], axis=axis), tensors, back)
-
-
-def assert_finite(t: Tensor, what: str = "tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError(f"{what} contains non-finite values")

@@ -23,6 +23,8 @@ from hymad.functional import bce_with_logits
 from hymad.optim import grad_check
 from hymad.tensor import Tensor
 
+from oracles import conv1d_same_naive
+
 
 @contextmanager
 def criterion(num, desc):
@@ -70,7 +72,7 @@ def test_criterion_2_sinc_frontend_fidelity():
 
     x = np.random.default_rng(1).standard_normal(600)
     fast = F.conv1d_same(Tensor(x), kernel.reshape(1, l_len)).data[0]
-    naive = F.conv1d_same_naive(x, kd.reshape(1, l_len))[0]
+    naive = conv1d_same_naive(x, kd.reshape(1, l_len))[0]
 
     with criterion(2, "sinc frontend passband selectivity and conv oracle"):
         assert passband >= 10.0 * stopband, (passband, stopband)

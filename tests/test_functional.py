@@ -1,11 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
+from hymad.optim import grad_check
 from hymad.tensor import Tensor
+
+from oracles import (conv1d_same_fft, conv1d_same_naive,
+                     rnn_forward_unrolled, softmax_rows_composed)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -37,6 +42,25 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_nan_raises():
     with pytest.raises(NumericError):
         F.softmax_rows(Tensor(np.array([[0.0, np.nan]])))
+
+
+def test_softmax_matches_composed_oracle():
+    rng = np.random.default_rng(20)
+    m1 = Tensor(rng.standard_normal((2, 3, 5)) * 4.0, requires_grad=True)
+    m2 = Tensor(m1.data.copy(), requires_grad=True)
+    w = rng.standard_normal((2, 3, 5))
+    fused, composed = F.softmax_rows(m1), softmax_rows_composed(m2)
+    np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+    (fused * w).sum().backward()
+    (composed * w).sum().backward()
+    np.testing.assert_allclose(m1.grad, m2.grad, rtol=0, atol=1e-12)
+
+
+def test_softmax_gradient_check():
+    rng = np.random.default_rng(21)
+    m = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = rng.standard_normal((3, 4))
+    assert grad_check(lambda: (F.softmax_rows(m) * w).sum(), [m])["max_rel_err"] < 1e-6
 
 
 # -- attention ----------------------------------------------------------------
@@ -144,6 +168,48 @@ def test_rnn_batched_matches_single():
         np.testing.assert_allclose(batched[i], single, atol=1e-14)
 
 
+def _rnn_case(seed, bsz, steps=5, c_in=3, h_dim=4):
+    rng = np.random.default_rng(seed)
+    p = _rnn_params(rng.standard_normal((h_dim, h_dim)) * 0.5,
+                    rng.standard_normal((h_dim, c_in)), rng.standard_normal(h_dim))
+    shape = (steps, c_in) if bsz is None else (bsz, steps, c_in)
+    f = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = rng.standard_normal(shape[:-1] + (h_dim,))
+    return p, f, w, rng
+
+
+@pytest.mark.parametrize("bsz,h0_shape", [
+    (None, None), (3, None), (3, "vector"), (3, "batch"), (None, "vector")])
+def test_rnn_fused_matches_unrolled_oracle(bsz, h0_shape):
+    p, f, w, rng = _rnn_case(30, bsz)
+    h_dim = p.hidden
+    h0 = None
+    if h0_shape is not None:
+        shape = (h_dim,) if h0_shape == "vector" else (bsz, h_dim)
+        h0 = Tensor(rng.standard_normal(shape), requires_grad=True)
+    leaves = [f, p.w_h, p.w_x, p.b] + ([h0] if h0 is not None else [])
+    copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    p2 = F.RnnParams(*copies[1:4])
+    h02 = copies[4] if h0 is not None else None
+
+    fused = F.rnn_forward(f, p, h0)
+    unrolled = rnn_forward_unrolled(copies[0], p2, h02)
+    np.testing.assert_allclose(fused.data, unrolled.data, rtol=0, atol=1e-12)
+    (fused * w).sum().backward()
+    (unrolled * w).sum().backward()
+    for got, want in zip(leaves, copies):
+        assert got.grad.shape == got.shape
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+def test_rnn_gradient_check_with_h0_and_input_grad():
+    p, f, w, rng = _rnn_case(31, 2, steps=4, c_in=2, h_dim=3)
+    h0 = Tensor(rng.standard_normal(3), requires_grad=True)
+    rep = grad_check(lambda: (F.rnn_forward(f, p, h0) * w).sum(),
+                     [f, p.w_h, p.w_x, p.b, h0])
+    assert rep["max_rel_err"] < 1e-6
+
+
 # -- dense --------------------------------------------------------------------
 
 def test_dense_identity_linear():
@@ -209,6 +275,16 @@ def test_bce_gradient_is_sigmoid_minus_target():
     np.testing.assert_allclose(z.grad, want, atol=1e-14)
 
 
+def test_sigmoid_and_bce_gradient_warning_free_at_extreme_logits():
+    z = np.array([[800.0, -800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(F.sigmoid(z), [[1.0, 0.0]])
+        t = Tensor(z, requires_grad=True)
+        F.bce_with_logits(t, np.array([[0.0, 1.0]])).backward()
+    np.testing.assert_array_equal(t.grad, [[0.5, -0.5]])
+
+
 # -- convolution --------------------------------------------------------------
 
 def test_conv_impulse_reproduces_time_reversed_kernel():
@@ -233,7 +309,7 @@ def test_conv_matches_double_loop_oracle():
     x = rng.standard_normal(64)
     k = rng.standard_normal((4, 17))
     got = F.conv1d_same(Tensor(x), Tensor(k)).data
-    np.testing.assert_allclose(got, F.conv1d_same_naive(x, k), atol=1e-10)
+    np.testing.assert_allclose(got, conv1d_same_naive(x, k), atol=1e-10)
 
 
 def test_conv_linearity():
@@ -252,7 +328,6 @@ def test_conv_signal_shorter_than_kernel_rejected():
 
 
 def test_conv_gradients_match_finite_differences():
-    from hymad.optim import grad_check
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal(32), requires_grad=True)
     k = Tensor(rng.standard_normal((2, 9)), requires_grad=True)
@@ -275,7 +350,7 @@ class TestConvStrided:
         x2 = Tensor(x1.data.copy(), requires_grad=True)
         k2 = Tensor(k1.data.copy(), requires_grad=True)
         strided = F.conv1d_strided(x1, k1, stride)
-        sliced = F.conv1d_same(x2, k2)[:, :, ::stride]
+        sliced = conv1d_same_fft(x2, k2)[:, :, ::stride]
         return strided, sliced, (x1, k1), (x2, k2)
 
     def test_matches_sliced_full_conv(self):
@@ -303,7 +378,7 @@ class TestConvStrided:
         x = Tensor(rng.standard_normal((2, 64)))
         k = Tensor(rng.standard_normal((3, 9)))
         np.testing.assert_allclose(F.conv1d_strided(x, k, 1).data,
-                                   F.conv1d_same(x, k).data, atol=1e-10)
+                                   conv1d_same_fft(x, k).data, atol=1e-10)
 
     def test_long_kernel_and_long_stride(self):
         for l_len, stride in ((33, 4), (5, 16)):

@@ -6,7 +6,10 @@ import pytest
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad import model as M
+from hymad.optim import grad_check
 from hymad.tensor import Tensor, no_grad
+
+from oracles import layer_norm_composed
 
 
 def tiny_cfg(**kw):
@@ -55,6 +58,34 @@ def test_add_positional_gradient_is_identity():
     e = Tensor(np.zeros((3, 4)), requires_grad=True)
     M.add_positional(e).sum().backward()
     np.testing.assert_array_equal(e.grad, np.ones((3, 4)))
+
+
+# -- layer norm ---------------------------------------------------------------
+
+def _ln_case(seed, shape):
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    leaves = [Tensor(rng.standard_normal(shape) * 3.0 + 1.0, requires_grad=True),
+              Tensor(rng.standard_normal(d), requires_grad=True),
+              Tensor(rng.standard_normal(d), requires_grad=True)]
+    return leaves, rng.standard_normal(shape)
+
+
+def test_layer_norm_matches_composed_oracle():
+    leaves, w = _ln_case(40, (2, 5, 6))
+    copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    fused, composed = M.layer_norm(*leaves), layer_norm_composed(*copies)
+    np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+    (fused * w).sum().backward()
+    (composed * w).sum().backward()
+    for got, want in zip(leaves, copies):
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+def test_layer_norm_gradient_check():
+    leaves, w = _ln_case(41, (3, 4))
+    rep = grad_check(lambda: (M.layer_norm(*leaves) * w).sum(), leaves)
+    assert rep["max_rel_err"] < 1e-6
 
 
 # -- attention blocks ---------------------------------------------------------

@@ -104,3 +104,73 @@ def test_mean_axis_backward():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     x.mean(axis=-1).sum().backward()
     np.testing.assert_allclose(x.grad, np.full((3, 4), 0.25))
+
+
+# -- engine invariants --------------------------------------------------------
+
+def test_shared_gradient_arrays_accumulate_correctly():
+    # y = a + b hands one gradient array to both a and b, and concat hands
+    # out views of one array; every parent then gets further contributions
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    y = a + b
+    c = concat([a, b], axis=0)
+    w = np.array([1.0, -2.0, 0.5, 4.0])
+    loss = (y * y).sum() + (c * w).sum() + (a * 3.0).sum() + (b * b).sum()
+    loss.backward()
+    yd = a.data + b.data
+    np.testing.assert_array_equal(a.grad, 2.0 * yd + w[:2] + 3.0)
+    np.testing.assert_array_equal(b.grad, 2.0 * yd + w[2:] + 2.0 * b.data)
+
+
+def test_held_gradient_unchanged_by_later_backward():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    (x * x).sum().backward()
+    first = x.grad
+    snapshot = first.copy()
+    (x * x + x * 3.0).sum().backward()     # several contributions to x
+    np.testing.assert_array_equal(first, snapshot)
+    np.testing.assert_array_equal(x.grad, 4.0 * x.data + 3.0)
+
+
+def test_backward_frees_intermediate_gradients_only():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    w = Tensor(np.ones(3), requires_grad=True)
+    h = (x * w).tanh()
+    loss = h.sum()
+    loss.backward()
+    assert h.grad is None and loss.grad is None
+    np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2)
+    np.testing.assert_allclose(w.grad, x.data * (1.0 - np.tanh(x.data) ** 2))
+
+
+def test_training_step_rerun_and_checkpoint_bit_identical(tmp_path):
+    from hymad import model as M
+    from hymad import train as T
+    from hymad.functional import bce_with_logits
+    from hymad.optim import AdamW
+
+    cfg = M.ModelConfig(n_filters=4, kernel_len=17, pool_stride=16,
+                        conv_stride=4, rnn_hidden=8, d_model=8,
+                        mlp_hidden=(16,), input_len=256)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, cfg.input_len))
+    y = rng.integers(0, 2, (4, cfg.n_labels)).astype(np.float64)
+
+    def step():
+        params = M.init_params(cfg, seed=0)
+        opt = AdamW(list(params.values()), lr=1e-2)
+        bce_with_logits(M.forward_batch(x, cfg, params), y).backward()
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        opt.step()
+        return params, grads
+
+    (p1, g1), (p2, g2) = step(), step()
+    for k in p1:
+        assert g1[k].tobytes() == g2[k].tobytes(), k
+        assert p1[k].data.tobytes() == p2[k].data.tobytes(), k
+    path = tmp_path / "step.ckpt"
+    T.save_checkpoint(path, cfg, p1)
+    loaded = T.load_checkpoint(path, cfg)
+    for k in p1:
+        assert loaded[k].data.tobytes() == p1[k].data.tobytes(), k

@@ -57,24 +57,16 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
     if args.fusion is not None:
-        train_cfg = replace(train_cfg, fusion_mode=args.fusion)
+        model_cfg = replace(model_cfg, fusion_mode=args.fusion)
     data_dir = Path(args.dataset)
-    if not (data_dir / "manifest").exists():
-        print(f"error: no dataset manifest in {data_dir}", file=sys.stderr)
-        return EXIT_IO
-    if not datagen.verify_shards(data_dir):
-        print("error: dataset shards do not match manifest digests", file=sys.stderr)
-        return EXIT_COMPAT
     dataset = datagen.load_dataset(data_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params, record = T.train(dataset, model_cfg, train_cfg, out_dir=out)
-    effective = model_cfg if train_cfg.fusion_mode is None else \
-        replace(model_cfg, fusion_mode=train_cfg.fusion_mode)
-    report = T.evaluate(dataset, "val", params, effective, out_dir=out)
-    _write_run_manifest(out, "train", effective.digest(),
+    report = T.evaluate(dataset, "val", params, model_cfg, out_dir=out)
+    _write_run_manifest(out, "train", model_cfg.digest(),
                         datagen.manifest_digest(data_dir),
-                        [f"fusion_mode = {effective.fusion_mode}",
+                        [f"fusion_mode = {model_cfg.fusion_mode}",
                          "best.ckpt", "final.ckpt", "run_record.txt",
                          "report_val.txt"])
     print(f"final val exact-match {report.strict_match:.4f}, "
@@ -85,9 +77,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     _, model_cfg, train_cfg = load_config(args.config)
     data_dir = Path(args.dataset)
-    if not (data_dir / "manifest").exists():
-        print(f"error: no dataset manifest in {data_dir}", file=sys.stderr)
-        return EXIT_IO
     dataset = datagen.load_dataset(data_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,12 @@ Every sample carries its sources and seed, so regeneration is byte-identical.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from hymad.errors import ConfigError, LeakageError
+from hymad.errors import CompatibilityError, ConfigError, LeakageError
 
 SEGMENT_LEN = 8000
 FS = 8000.0
@@ -37,6 +36,14 @@ def label_vector(active: list[str]) -> np.ndarray:
     if bits[:3].sum() == 0:
         bits[3] = 1
     return bits
+
+
+def decide(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Multi-hot prediction: label j iff score_j > threshold (strict); a row
+    where nothing fires gets the no_event bit instead of an empty set."""
+    pred = (np.asarray(scores) > threshold).astype(np.int64)
+    pred[pred.sum(axis=-1) == 0, LABEL_INDEX["no_event"]] = 1
+    return pred
 
 
 @dataclass
@@ -290,6 +297,8 @@ def _record_line(r: SampleRecord) -> str:
 
 def _parse_record(line: str) -> SampleRecord:
     sid, combo, split, bits, srcs, delay, a, b, seed = line.split("\t")
+    if split not in SPLITS or len(bits) != len(CLASSES):
+        raise ValueError(f"bad split or label bits in record {line!r}")
     labels = np.array([int(c) for c in bits], dtype=np.int64)
     sources = [int(s) for s in srcs.split(",")] if srcs else []
     return SampleRecord(int(sid), combo, split, labels, sources,
@@ -300,18 +309,23 @@ def _label_byte(labels: np.ndarray) -> int:
     return sum(int(labels[i]) << i for i in range(4))
 
 
+SHARD_RECORD = np.dtype([("label", "u1"), ("sample_id", "<u8"),
+                         ("wave", "<f8", (SEGMENT_LEN,))])
+
+
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shard_digests = {}
     for split in SPLITS:
-        recs = ds.split_records(split)
-        path = out / f"{split}.bin"
-        with open(path, "wb") as fh:
-            for r in recs:
-                fh.write(struct.pack("<BQ", _label_byte(r.labels), r.sample_id))
-                fh.write(ds.waves[r.sample_id].astype("<f8").tobytes())
-        shard_digests[split] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with open(out / f"{split}.bin", "wb") as fh:
+            for r in ds.split_records(split):
+                rec = np.array((_label_byte(r.labels), r.sample_id,
+                                ds.waves[r.sample_id]), SHARD_RECORD).tobytes()
+                fh.write(rec)
+                digest.update(rec)
+        shard_digests[split] = digest.hexdigest()
 
     cfg = ds.config
     lines = [f"hymad-dataset v{MANIFEST_VERSION}",
@@ -328,33 +342,50 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     return out
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    text = (path / "manifest").read_text().splitlines()
-    if not text or not text[0].startswith("hymad-dataset v"):
-        raise ConfigError(f"not a dataset manifest: {path / 'manifest'}")
-    header = {}
-    body_at = text.index("[samples]")
-    for line in text[1:body_at]:
-        k, v = line.split(" = ", 1)
-        header[k] = v
-    ratios = tuple(float(v) for v in header["ratios"].split(","))
-    cfg = DatasetConfig(int(header["n_per_class"]), ratios, int(header["seed"]),
-                        int(header["delay_max"]), float(header["scale_lo"]),
-                        float(header["scale_hi"]))
-    records = [_parse_record(line) for line in text[body_at + 1:] if line]
+def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]:
+    """The one manifest parser: config, records and shard digests."""
+    file = path / "manifest"
+    try:
+        lines = file.read_text(encoding="utf-8").splitlines()
+        if lines[:1] != [f"hymad-dataset v{MANIFEST_VERSION}"]:
+            raise ValueError(f"no 'hymad-dataset v{MANIFEST_VERSION}' header")
+        body_at = lines.index("[samples]")
+        header = dict(line.split(" = ", 1) for line in lines[1:body_at])
+        ratios = tuple(float(v) for v in header["ratios"].split(","))
+        cfg = DatasetConfig(int(header["n_per_class"]), ratios,
+                            int(header["seed"]), int(header["delay_max"]),
+                            float(header["scale_lo"]), float(header["scale_hi"]))
+        records = [_parse_record(line) for line in lines[body_at + 1:] if line]
+        digests = {s: header[f"shard_{s}"] for s in SPLITS}
+    except (ValueError, KeyError) as exc:
+        raise CompatibilityError(f"malformed manifest {file}: {exc}") from exc
+    return cfg, records, digests
 
+
+def _read_dataset(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]:
+    """Read each shard once and check it against the manifest in that read;
+    the waveforms are read-only views of the shard bytes."""
+    cfg, records, digests = _read_manifest(path)
     waves = {}
-    rec_size = 1 + 8 + SEGMENT_LEN * 8
     for split in SPLITS:
-        blob = (path / f"{split}.bin").read_bytes()
-        if len(blob) % rec_size != 0:
-            raise ConfigError(f"corrupt shard {split}.bin")
-        for off in range(0, len(blob), rec_size):
-            _, sid = struct.unpack_from("<BQ", blob, off)
-            waves[sid] = np.frombuffer(blob, dtype="<f8", count=SEGMENT_LEN,
-                                       offset=off + 9).copy()
-    return Dataset(cfg, records, waves)
+        file = path / f"{split}.bin"
+        blob = file.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != digests[split]:
+            raise CompatibilityError(f"{file} does not match its manifest digest")
+        if len(blob) % SHARD_RECORD.itemsize:
+            raise CompatibilityError(f"{file} is not a whole number of records")
+        shard = np.frombuffer(blob, SHARD_RECORD)
+        ids = shard["sample_id"].tolist()
+        if ids != [r.sample_id for r in records if r.split == split]:
+            raise CompatibilityError(
+                f"{file} does not hold the manifest's {split} samples in order")
+        waves.update(zip(ids, shard["wave"]))
+    return cfg, records, waves
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a saved dataset; any malformed file raises CompatibilityError."""
+    return Dataset(*_read_dataset(Path(path)))
 
 
 def manifest_digest(path: str | Path) -> str:
@@ -362,14 +393,9 @@ def manifest_digest(path: str | Path) -> str:
 
 
 def verify_shards(path: str | Path) -> bool:
-    """Check that shard files match the digests recorded in the manifest."""
-    path = Path(path)
-    text = (path / "manifest").read_text().splitlines()
-    for line in text[1:text.index("[samples]")]:
-        k, v = line.split(" = ", 1)
-        if k.startswith("shard_"):
-            split = k[len("shard_"):]
-            actual = hashlib.sha256((path / f"{split}.bin").read_bytes()).hexdigest()
-            if actual != v:
-                return False
+    """Whether `load_dataset` would accept the shards of the dataset at `path`."""
+    try:
+        _read_dataset(Path(path))
+    except CompatibilityError:
+        return False
     return True

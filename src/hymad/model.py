@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad.sincnet import SincFilterBank, bank_kernels, init_filterbank
@@ -51,8 +52,9 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"model.n_heads ({self.n_heads}) must divide d_model ({self.d_model})")
-        if self.n_labels < 1:
-            raise ConfigError(f"model.n_labels must be >= 1, got {self.n_labels}")
+        if self.n_labels != len(CLASSES):
+            raise ConfigError(
+                f"model.n_labels must be {len(CLASSES)}, got {self.n_labels}")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"model.threshold must lie in (0, 1), got {self.threshold}")
         if self.fusion_mode not in FUSION_MODES:
@@ -321,11 +323,3 @@ def forward(x, cfg: ModelConfig, params: dict) -> Tensor:
     if x.ndim != 1:
         raise ConfigError(f"forward expects a 1-d waveform, got shape {tuple(x.shape)}")
     return forward_batch(x.reshape(1, -1), cfg, params).reshape(cfg.n_labels)
-
-
-def predict(logits, threshold: float = 0.5) -> np.ndarray:
-    """Multi-hot prediction: label j iff sigmoid(logit_j) > threshold (strict)."""
-    if not (0.0 < threshold < 1.0):
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return (F.sigmoid(z) > threshold).astype(np.int64)

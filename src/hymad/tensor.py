@@ -275,9 +275,9 @@ class Tensor:
 
     def __matmul__(self, other):
         a, b = self, Tensor._coerce(other)
-        if a.ndim == 0 or b.ndim == 0:
-            raise ShapeError("matmul needs at least 1-d operands")
-        if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
+        if a.data.shape[-1] != b.data.shape[-2]:
             raise ShapeError(
                 f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 

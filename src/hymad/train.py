@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -12,7 +13,7 @@ import numpy as np
 
 from hymad.errors import CompatibilityError, ConfigError, NumericError
 from hymad import model as M
-from hymad.datagen import Dataset
+from hymad.datagen import Dataset, decide
 from hymad.functional import bce_with_logits, sigmoid
 from hymad.metrics import MetricsReport, compute_report, write_curves_csv
 from hymad.optim import AdamW
@@ -31,8 +32,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
-    eval_every: int = 1
-    fusion_mode: str | None = None       # overrides the model config when set
     early_stop_exact: float | None = None  # stop once val exact-match reaches this
 
     def validate(self):
@@ -85,29 +84,32 @@ def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CompatibilityError(f"{path} is not a checkpoint file")
-    version, = struct.unpack_from("<I", blob, 4)
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise CompatibilityError(f"{path} is truncated")
+        off += n
+        return blob[off - n:off]
+
+    version, = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise CompatibilityError(f"unsupported checkpoint version {version}")
-    digest = blob[8:40].hex()
-    if digest != cfg.digest():
+    if take(32).hex() != cfg.digest():
         raise CompatibilityError(
             "checkpoint config digest does not match the supplied model config")
-    count, = struct.unpack_from("<I", blob, 40)
-    off = 44
+    count, = struct.unpack("<I", take(4))
     params = {}
     for _ in range(count):
-        nlen, = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode()
-        off += nlen
-        ndim, = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += 8 * size
+        nlen, = struct.unpack("<H", take(2))
+        name = take(nlen).decode()
+        ndim, = take(1)
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        data = np.frombuffer(take(8 * math.prod(shape)), "<f8").reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
+    if off != len(blob):
+        raise CompatibilityError(f"{path} has {len(blob) - off} trailing bytes")
     return params
 
 
@@ -132,10 +134,7 @@ def evaluate_arrays(x: np.ndarray, y: np.ndarray, cfg: M.ModelConfig,
                     params: dict, threshold: float | None = None) -> tuple:
     thr = cfg.threshold if threshold is None else threshold
     scores = predict_scores(x, cfg, params)
-    pred = (scores > thr).astype(np.int64)
-    # empty activity set maps to the explicit no-event label
-    empty = pred.sum(axis=1) == 0
-    pred[empty, 3] = 1 if cfg.n_labels == 4 else 0
+    pred = decide(scores, thr)
     return compute_report(pred, y, scores), scores, pred
 
 
@@ -158,10 +157,7 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
           out_dir=None) -> tuple[dict, RunRecord]:
     """Seeded mini-batch loop; retains the best-validation parameters."""
     train_cfg.validate()
-    cfg = model_cfg
-    if train_cfg.fusion_mode is not None:
-        cfg = replace(model_cfg, fusion_mode=train_cfg.fusion_mode)
-    cfg.validate()
+    cfg = model_cfg.validate()
 
     x_train, y_train, _ = dataset.arrays("train")
     x_val, y_val, _ = dataset.arrays("val")
@@ -170,7 +166,6 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
                 eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng([train_cfg.seed, 0x7E])
     record = RunRecord(lr_used=train_cfg.lr)
-    best = {k: v.data.copy() for k, v in params.items()}
     best_exact = -1.0
     t0 = time.time()
 
@@ -189,19 +184,18 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 
-        if (epoch + 1) % train_cfg.eval_every == 0:
-            report, _, _ = evaluate_arrays(x_val, y_val, cfg, params)
-            record.val_reports.append((epoch, report))
-            if report.strict_match > best_exact:
-                best_exact = report.strict_match
-                best = {k: v.data.copy() for k, v in params.items()}
-                record.best_epoch = epoch
-                if out_dir is not None:
-                    Path(out_dir).mkdir(parents=True, exist_ok=True)
-                    save_checkpoint(Path(out_dir) / "best.ckpt", cfg, params)
-            if (train_cfg.early_stop_exact is not None
-                    and report.strict_match >= train_cfg.early_stop_exact):
-                break
+        report, _, _ = evaluate_arrays(x_val, y_val, cfg, params)
+        record.val_reports.append((epoch, report))
+        if report.strict_match > best_exact:
+            best_exact = report.strict_match
+            best = {k: v.data.copy() for k, v in params.items()}
+            record.best_epoch = epoch
+            if out_dir is not None:
+                Path(out_dir).mkdir(parents=True, exist_ok=True)
+                save_checkpoint(Path(out_dir) / "best.ckpt", cfg, params)
+        if (train_cfg.early_stop_exact is not None
+                and report.strict_match >= train_cfg.early_stop_exact):
+            break
 
     record.wall_time = time.time() - t0
     final = {k: Tensor(v, requires_grad=True) for k, v in best.items()}
@@ -217,27 +211,24 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     return final, record
 
 
-ABLATION_VARIANTS = ("freq_only", "single_scale", "concat", "full")
+# variant -> ModelConfig overrides; `single_scale` replaces the caller's
+# frontend with a one-branch free-weight convolution
+ABLATIONS = {
+    "freq_only": dict(fusion_mode="freq_only"),
+    "single_scale": dict(fusion_mode="cross_attention", branches=1,
+                         frontend="plain"),
+    "concat": dict(fusion_mode="concat"),
+    "full": dict(fusion_mode="cross_attention"),
+}
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 def run_ablations(dataset: Dataset, base_cfg: M.ModelConfig,
                   train_cfg: TrainConfig) -> dict[str, MetricsReport]:
-    """Train the four fusion variants on the same data and seed.
-
-    The caller chooses the branch count of `base_cfg`; `single_scale` forces
-    a one-branch free-weight convolution frontend in its place.
-    """
+    """Train the four fusion variants on the same data and seed."""
     results = {}
-    for variant in ABLATION_VARIANTS:
-        if variant == "full":
-            cfg = replace(base_cfg, fusion_mode="cross_attention")
-        elif variant == "concat":
-            cfg = replace(base_cfg, fusion_mode="concat")
-        elif variant == "freq_only":
-            cfg = replace(base_cfg, fusion_mode="freq_only")
-        else:
-            cfg = replace(base_cfg, fusion_mode="cross_attention",
-                          branches=1, frontend="plain")
+    for variant, overrides in ABLATIONS.items():
+        cfg = replace(base_cfg, **overrides)
         params, _ = train(dataset, cfg, train_cfg)
         results[variant] = evaluate(dataset, "test", params, cfg)
     return results

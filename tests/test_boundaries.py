@@ -1,0 +1,150 @@
+"""File-boundary probes: a truncated, corrupt or padded dataset or checkpoint
+raises CompatibilityError, and the untouched files still load.
+
+The module fixtures hold file contents as bytes; each example writes its
+files under `tempfile`, because hypothesis runs many examples inside one call
+of a test function and rejects function-scoped fixtures such as `tmp_path`.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hymad import datagen as D
+from hymad import model as M
+from hymad import train as T
+from hymad.errors import CompatibilityError
+
+probe = settings(max_examples=12, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def files() -> dict[str, bytes]:
+    """A small saved dataset (21 waveforms over three non-empty splits)."""
+    ds = D.build_dataset(D.DatasetConfig(n_per_class=3, ratios=(0.34, 0.33, 0.33),
+                                         seed=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = D.save_dataset(ds, tmp)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def write_dataset(root: str, files: dict[str, bytes], **replaced: bytes) -> str:
+    for name, blob in {**files, **replaced}.items():
+        (Path(root) / name).write_bytes(blob)
+    return root
+
+
+def assert_dataset_rejected(files: dict[str, bytes], **replaced: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, files, **replaced)
+        with pytest.raises(CompatibilityError):
+            D.load_dataset(tmp)
+        assert not D.verify_shards(tmp)
+
+
+def test_untouched_dataset_loads(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = D.load_dataset(write_dataset(tmp, files))
+        assert D.verify_shards(tmp)
+        assert len(ds.records) == len(ds.waves) == 21
+        for split in D.SPLITS:
+            x, _, _ = ds.arrays(split)
+            assert x.shape[1] == D.SEGMENT_LEN
+
+
+@probe
+@given(st.sampled_from(D.SPLITS), st.data())
+def test_any_flipped_shard_byte_is_rejected(files, split, data):
+    blob = bytearray(files[f"{split}.bin"])
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    assert_dataset_rejected(files, **{f"{split}.bin": bytes(blob)})
+
+
+@probe
+@given(st.sampled_from(D.SPLITS), st.data())
+def test_any_shard_truncation_is_rejected(files, split, data):
+    blob = files[f"{split}.bin"]
+    keep = data.draw(st.integers(0, len(blob) - 1), label="kept bytes")
+    assert_dataset_rejected(files, **{f"{split}.bin": blob[:keep]})
+
+
+@probe
+@given(st.data())
+def test_manifest_cut_at_any_line_is_rejected(files, data):
+    lines = files["manifest"].decode().splitlines(keepends=True)
+    keep = data.draw(st.integers(0, len(lines) - 1), label="kept lines")
+    assert_dataset_rejected(files, manifest="".join(lines[:keep]).encode())
+
+
+def test_malformed_manifest_lines_are_rejected(files):
+    lines = files["manifest"].decode().splitlines(keepends=True)
+    body = lines.index("[samples]\n")
+    for at, bad in ((0, "hymad-dataset v2\n"), (1, "seed: 2\n"),
+                    (body - 1, "shard_test = 00\n"), (body + 1, "garbage\n"),
+                    (body + 1, lines[body + 1].replace("\ttrain\t", "\tother\t")),
+                    (body + 1, lines[body + 1].replace("\t1000\t", "\t10\t"))):
+        assert bad != lines[at]
+        edited = lines[:at] + [bad] + lines[at + 1:]
+        assert_dataset_rejected(files, manifest="".join(edited).encode())
+    assert_dataset_rejected(files, manifest=b"\xff" + files["manifest"])
+
+
+# -- checkpoints ----------------------------------------------------------------
+
+def tiny_model():
+    return M.ModelConfig(n_filters=4, kernel_len=17, pool_stride=32, rnn_hidden=8,
+                         d_model=8, mlp_hidden=(16,), input_len=512)
+
+
+@pytest.fixture(scope="module")
+def checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        T.save_checkpoint(path, tiny_model(), M.init_params(tiny_model(), seed=0))
+        return path.read_bytes()
+
+
+def checkpoint_fields(checkpoint: bytes) -> list[tuple[int, int]]:
+    """(start, end) of every field of the checkpoint, from its documented layout:
+    magic, version, config digest, parameter count, then per parameter (sorted
+    by name) the name length, name, ndim, shape and float64 data."""
+    widths = [4, 4, 32, 4]
+    params = M.init_params(tiny_model(), seed=0)
+    for name in sorted(params):
+        shape = params[name].data.shape
+        widths += [2, len(name.encode()), 1, 4 * len(shape), 8 * math.prod(shape)]
+    ends = [sum(widths[:i + 1]) for i in range(len(widths))]
+    assert ends[-1] == len(checkpoint)
+    return [(end - w, end) for w, end in zip(widths, ends)]
+
+
+def load_checkpoint_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(blob)
+        return T.load_checkpoint(path, tiny_model())
+
+
+def test_untouched_checkpoint_loads(checkpoint):
+    loaded = load_checkpoint_bytes(checkpoint)
+    want = M.init_params(tiny_model(), seed=0)
+    assert T.params_digest(loaded) == T.params_digest(want)
+
+
+def test_checkpoint_cut_at_every_structural_offset_is_rejected(checkpoint):
+    cuts = {c for start, end in checkpoint_fields(checkpoint)
+            for c in (start, (start + end) // 2, end - 1) if start <= c}
+    for cut in sorted(cuts):
+        with pytest.raises(CompatibilityError):
+            load_checkpoint_bytes(checkpoint[:cut])
+
+
+@probe
+@given(st.binary(min_size=1, max_size=64))
+def test_checkpoint_trailing_bytes_are_rejected(checkpoint, extra):
+    with pytest.raises(CompatibilityError, match="trailing"):
+        load_checkpoint_bytes(checkpoint + extra)

@@ -175,3 +175,60 @@ def test_ablate_reports_four_variants(workspace, capsys):
     for name in ("full", "concat", "freq_only", "single_scale"):
         assert name in out
     assert (root / "abl" / "ablation_table.txt").exists()
+
+
+# -- malformed inputs: exit code 4 with a one-line message ------------------------
+
+def _flip_byte(data, ckpt):
+    blob = bytearray((data / "test.bin").read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    (data / "test.bin").write_bytes(bytes(blob))
+
+
+def _truncate_shard(data, ckpt):
+    (data / "test.bin").write_bytes((data / "test.bin").read_bytes()[:-100])
+
+
+def _malform_manifest_line(data, ckpt):
+    text = (data / "manifest").read_text().replace("[samples]\n0\t", "[samples]\nx\t")
+    (data / "manifest").write_text(text)
+
+
+def _truncate_checkpoint(data, ckpt):
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+
+
+def _pad_checkpoint(data, ckpt):
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00")
+
+
+@pytest.mark.parametrize("damage, extra", [
+    (_flip_byte, []), (_flip_byte, ["--ablate"]), (_truncate_shard, []),
+    (_malform_manifest_line, []), (_truncate_checkpoint, []), (_pad_checkpoint, []),
+], ids=["flipped-shard-byte", "flipped-shard-byte-ablate", "truncated-shard",
+        "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes"])
+def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, extra):
+    import shutil
+    from hymad import model as M, train as T
+    root, cfg = workspace
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    ckpt = tmp_path / "m.ckpt"
+    model_cfg = load_config(cfg)[1]
+    T.save_checkpoint(ckpt, model_cfg, M.init_params(model_cfg, seed=0))
+    damage(data, ckpt)
+    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--dataset", str(data), "--out", str(tmp_path / "e"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("compatibility error: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_evaluate_missing_dataset_is_io_error(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    rc = cli.main(["evaluate", "--config", str(cfg), "--ablate",
+                   "--dataset", str(tmp_path / "nowhere"),
+                   "--out", str(tmp_path / "e")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("io error: ")

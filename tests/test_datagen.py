@@ -55,6 +55,23 @@ def test_label_vector_rules():
     np.testing.assert_array_equal(D.label_vector([]), [0, 0, 0, 1])
 
 
+# -- decide -------------------------------------------------------------------
+
+def test_decide_thresholding():
+    got = D.decide(np.array([0.88, 0.12, 0.52, 0.48]), 0.5)
+    np.testing.assert_array_equal(got, [1, 0, 1, 0])
+
+
+def test_decide_all_negative_is_no_event():
+    got = D.decide(np.array([[0.01, 0.01, 0.01, 0.01]]), 0.5)
+    np.testing.assert_array_equal(got, [[0, 0, 0, 1]])
+
+
+def test_decide_boundary_is_strict():
+    got = D.decide(np.array([0.5, 0.5, 0.5, 0.5]), 0.5)
+    np.testing.assert_array_equal(got, [0, 0, 0, 1])
+
+
 # -- normalize ----------------------------------------------------------------
 
 def test_normalize_zero_mean_unit_std():

@@ -273,23 +273,6 @@ def test_multiscale_branches():
     assert out.shape == (4,)
 
 
-# -- predict ------------------------------------------------------------------
-
-def test_predict_thresholding():
-    got = M.predict(np.array([2.0, -2.0, 0.1, -0.1]), 0.5)
-    np.testing.assert_array_equal(got, [1, 0, 1, 0])
-
-
-def test_predict_all_negative_empty_set():
-    got = M.predict(np.array([-5.0, -5.0, -5.0, -5.0]), 0.5)
-    assert got.sum() == 0
-
-
-def test_predict_boundary_is_strict():
-    got = M.predict(np.array([0.0]), 0.5)
-    assert got[0] == 0
-
-
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         tiny_cfg(d_model=7)
@@ -301,3 +284,9 @@ def test_config_validation_errors():
         tiny_cfg(pool_stride=7)
     with pytest.raises(ConfigError):
         tiny_cfg(fusion_mode="bogus")
+
+
+def test_config_requires_one_label_per_class():
+    for n in (1, 3, 5):
+        with pytest.raises(ConfigError, match="n_labels"):
+            tiny_cfg(n_labels=n)

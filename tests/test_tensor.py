@@ -34,6 +34,15 @@ def test_matmul_shape_error():
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
 
 
+def test_matmul_rejects_1d_operand():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    v = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeError):
+        a @ v
+    with pytest.raises(ShapeError):
+        v @ Tensor(np.ones((3, 2)))
+
+
 def test_matmul_backward():
     rng = np.random.default_rng(1)
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def tiny_data():
 
 
 def tiny_train(**kw):
-    base = dict(lr=1e-2, batch_size=8, max_epochs=2, seed=0, eval_every=1)
+    base = dict(lr=1e-2, batch_size=8, max_epochs=2, seed=0)
     base.update(kw)
     return T.TrainConfig(**base)
 
@@ -126,8 +128,8 @@ def test_train_writes_artifacts(tiny_data, tmp_path):
 def test_fusion_override_changes_graph(tiny_data):
     cfg = tiny_model()
     p1, _ = T.train(tiny_data, cfg, tiny_train(max_epochs=1))
-    p2, _ = T.train(tiny_data, cfg, tiny_train(max_epochs=1,
-                                               fusion_mode="freq_only"))
+    p2, _ = T.train(tiny_data, replace(cfg, fusion_mode="freq_only"),
+                    tiny_train(max_epochs=1))
     assert set(p1) != set(p2)
 
 

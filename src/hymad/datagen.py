@@ -346,7 +346,10 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
     """The one manifest parser: config, records and shard digests."""
     file = path / "manifest"
     try:
-        lines = file.read_text(encoding="utf-8").splitlines()
+        text = file.read_text(encoding="utf-8")
+        if not text.endswith("\n"):
+            raise ValueError("the last line is cut")
+        lines = text.splitlines()
         if lines[:1] != [f"hymad-dataset v{MANIFEST_VERSION}"]:
             raise ValueError(f"no 'hymad-dataset v{MANIFEST_VERSION}' header")
         body_at = lines.index("[samples]")
@@ -376,9 +379,11 @@ def _read_dataset(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]:
             raise CompatibilityError(f"{file} is not a whole number of records")
         shard = np.frombuffer(blob, SHARD_RECORD)
         ids = shard["sample_id"].tolist()
-        if ids != [r.sample_id for r in records if r.split == split]:
-            raise CompatibilityError(
-                f"{file} does not hold the manifest's {split} samples in order")
+        held = [r for r in records if r.split == split]
+        if ids != [r.sample_id for r in held] \
+                or shard["label"].tolist() != [_label_byte(r.labels) for r in held]:
+            raise CompatibilityError(f"{file} does not hold the manifest's "
+                                     f"{split} samples and labels in order")
         waves.update(zip(ids, shard["wave"]))
     return cfg, records, waves
 

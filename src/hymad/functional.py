@@ -1,7 +1,6 @@
 """Differentiable building blocks composed from the tensor primitives.
 
-Everything here works on trailing axes so the same code serves single
-sequences ([T, d]) and batches ([B, T, d]).
+The layers take batches: waveforms [B, T] and sequences [B, T, d].
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.tensor import Tensor, _unbroadcast
+from hymad.tensor import Tensor
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -43,7 +42,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"query width {d_k} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
-    scores = (q @ k.T) * (1.0 / math.sqrt(d_k))
+    scores = (q * (1.0 / math.sqrt(d_k))) @ k.T
     return softmax_rows(scores) @ v
 
 
@@ -67,41 +66,32 @@ class RnnParams:
         return self.b.shape[0]
 
 
-def rnn_forward(f: Tensor, p: RnnParams, h0: Tensor | None = None) -> Tensor:
-    """Run the recurrence over a [T, C] or [B, T, C] feature sequence.
+def rnn_forward(f: Tensor, p: RnnParams) -> Tensor:
+    """Run the recurrence from a zero state over a [B, T, C] feature batch.
 
-    Returns the full hidden-state sequence ([T, H] or [B, T, H]) as one graph
-    node.  W_x f_t + b is one GEMM over all steps, so only the tanh recurrence
+    Returns the hidden-state sequence [B, T, H] as one graph node.
+    W_x f_t + b is one GEMM over all steps, so only the tanh recurrence
     loops; the backward (backpropagation through time) loops only for dL/dz_t
     and forms the weight, bias and input gradients as whole-sequence GEMMs.
     """
     f = Tensor._coerce(f)
-    seq = f.data if f.ndim == 3 else f.data[None]
-    bsz, steps, c_in = seq.shape
+    if f.ndim != 3:
+        raise ShapeError(f"RNN input must be [B, T, C], got {f.shape}")
+    bsz, steps, c_in = f.shape
     hid = p.hidden
     if p.w_x.shape[1] != c_in:
         raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
-    parents = (f, p.w_h, p.w_x, p.b)
-    if h0 is None:
-        h_init = np.zeros((1, hid))
-    else:
-        h0 = Tensor._coerce(h0)
-        if h0.shape[-1] != hid:
-            raise ShapeError(f"h0 width {h0.shape[-1]} != hidden {hid}")
-        h_init = h0.data.reshape(-1, hid)
-        parents += (h0,)
     w_h, w_x = p.w_h.data, p.w_x.data
-    flat = seq.reshape(-1, c_in)
+    flat = f.data.reshape(-1, c_in)
 
     pre = (flat @ w_x.T + p.b.data).reshape(bsz, steps, hid)
     hs = np.empty((bsz, steps, hid))
-    h = h_init
+    h = np.zeros((1, hid))
     for t in range(steps):
         h = np.tanh(h @ w_h.T + pre[:, t], out=hs[:, t])
 
     def back(g):
         dz = 1.0 - hs * hs                  # tanh' at every step
-        g = g.reshape(hs.shape)
         carry = 0.0                         # dL/dh_t through h_{t+1}
         for t in range(steps - 1, -1, -1):
             dz[:, t] *= g[:, t] + carry
@@ -111,21 +101,16 @@ def rnn_forward(f: Tensor, p: RnnParams, h0: Tensor | None = None) -> Tensor:
         if f.requires_grad:
             gf = (dz_flat @ w_x).reshape(f.shape)
         if p.w_h.requires_grad:
-            h_prev = np.empty_like(hs)
-            h_prev[:, 0] = h_init
+            h_prev = np.zeros_like(hs)
             h_prev[:, 1:] = hs[:, :-1]
             gwh = dz_flat.T @ h_prev.reshape(-1, hid)
         if p.w_x.requires_grad:
             gwx = dz_flat.T @ flat
         if p.b.requires_grad:
             gb = dz_flat.sum(axis=0)
-        if h0 is None:
-            return (gf, gwh, gwx, gb)
-        gh0 = _unbroadcast(carry, (h_init.shape[0], hid)).reshape(h0.shape) \
-            if h0.requires_grad else None
-        return (gf, gwh, gwx, gb, gh0)
+        return (gf, gwh, gwx, gb)
 
-    return Tensor._result(hs if f.ndim == 3 else hs[0], parents, back)
+    return Tensor._result(hs, (f, p.w_h, p.w_x, p.b), back)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:
@@ -162,32 +147,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def conv1d_same(x: Tensor, kernels: Tensor) -> Tensor:
-    """Same-padded 1-d convolution of signals with a filter bank.
-
-    x: [T] or [B, T]; kernels: [C, L] with odd L, stored over centered lags
-    -(L-1)/2 .. (L-1)/2.  Output [B, C, T] (or [C, T] for a single signal):
-    y[b, c, m] = sum_n x[b, m-n] k[c, n], zero-padded at the edges.
-    This is conv1d_strided at stride 1.
-    """
-    x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
-    if x.shape[-1] < kernels.shape[-1]:
-        raise ShapeError(
-            f"signal length {x.shape[-1]} < kernel length {kernels.shape[-1]}")
-    if x.ndim == 1:
-        out = conv1d_strided(x.reshape(1, -1), kernels, 1)
-        return out.reshape(*out.shape[1:])
-    return conv1d_strided(x, kernels, 1)
-
-
 def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
                    chunk: int = 16) -> Tensor:
-    """Same-padded convolution (see conv1d_same) at every `stride`-th lag.
+    """Same-padded 1-d convolution of signals with a filter bank, evaluated at
+    every `stride`-th lag.
 
-    Equals conv1d_same(x, kernels)[..., ::stride] but never materialises the
-    full-resolution convolution; the batch is processed in chunks so the
-    patch matrices stay small.
-    x: [B, T]; kernels: [C, L] odd-length centered lags; returns [B, C, T/stride].
+    x: [B, T]; kernels: [C, L] with odd L, stored over centered lags
+    -(L-1)/2 .. (L-1)/2.  Output [B, C, T/stride]:
+    y[b, c, p] = sum_n x[b, pS-n] k[c, n], zero-padded at the edges.
+    The full-resolution convolution is never materialised; the batch is
+    processed in chunks so the patch matrices stay small.
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
     xd, kd = x.data, kernels.data

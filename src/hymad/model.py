@@ -17,12 +17,13 @@ import numpy as np
 from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
-from hymad.sincnet import SincFilterBank, bank_kernels, init_filterbank
+from hymad.sincnet import bank_kernels, init_filterbank
 from hymad.functional import RnnParams
 from hymad.tensor import Tensor, _unbroadcast, concat
 
 FUSION_MODES = ("cross_attention", "concat", "freq_only", "temp_only")
 FRONTENDS = ("sinc", "plain")
+WINDOWS = ("hamming", "none")
 
 
 @dataclass
@@ -61,6 +62,8 @@ class ModelConfig:
             raise ConfigError(f"model.fusion_mode must be one of {FUSION_MODES}")
         if self.frontend not in FRONTENDS:
             raise ConfigError(f"model.frontend must be one of {FRONTENDS}")
+        if self.window not in WINDOWS:
+            raise ConfigError(f"model.window must be one of {WINDOWS}")
         if self.input_len % self.pool_stride != 0:
             raise ConfigError(
                 f"model.pool_stride ({self.pool_stride}) must divide "
@@ -72,6 +75,8 @@ class ModelConfig:
         for l in self.kernel_lens():
             if l % 2 != 1:
                 raise ConfigError(f"model.kernel_len must be odd, got {l}")
+            if self.frontend == "sinc" and l < 3:
+                raise ConfigError(f"model.kernel_len must be >= 3 for sinc, got {l}")
         return self
 
     def kernel_lens(self) -> tuple:
@@ -158,35 +163,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 def self_attention_block(x: Tensor, params: dict, prefix: str,
                          n_heads: int = 1) -> Tensor:
-    """Self-attention with residual connection and layer normalization."""
+    """Self-attention over [B, T, d] with residual connection and layer norm."""
     x = Tensor._coerce(x)
-    single = x.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
     a = _multihead(x, x, params, prefix, n_heads)
-    out = layer_norm(x + a, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
-    return out.reshape(*out.shape[1:]) if single else out
+    return layer_norm(x + a, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
 
 
 def cross_fuse(a_freq: Tensor, a_temp: Tensor, params: dict,
                n_heads: int = 1) -> Tensor:
-    """Bidirectional cross-attention; output is freq-then-temp concatenation."""
+    """Bidirectional cross-attention over two [B, T, d] streams; the output
+    [B, T, 2d] is the freq-then-temp concatenation."""
     a_freq, a_temp = Tensor._coerce(a_freq), Tensor._coerce(a_temp)
     if a_freq.shape[-2] != a_temp.shape[-2]:
         raise ShapeError(
             f"stream lengths differ: {a_freq.shape[-2]} vs {a_temp.shape[-2]}")
-    single = a_freq.ndim == 2
-    if single:
-        a_freq = a_freq.reshape(1, *a_freq.shape)
-        a_temp = a_temp.reshape(1, *a_temp.shape)
     c_freq = _multihead(a_freq, a_temp, params, "cross_freq", n_heads)
     c_freq = layer_norm(a_freq + c_freq, params["cross_freq.ln_g"],
                         params["cross_freq.ln_b"])
     c_temp = _multihead(a_temp, a_freq, params, "cross_temp", n_heads)
     c_temp = layer_norm(a_temp + c_temp, params["cross_temp.ln_g"],
                         params["cross_temp.ln_b"])
-    fused = concat([c_freq, c_temp], axis=-1)
-    return fused.reshape(*fused.shape[1:]) if single else fused
+    return concat([c_freq, c_temp], axis=-1)
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
@@ -204,10 +201,8 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     p: dict[str, Tensor] = {}
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
-            bank = init_filterbank(cfg.n_filters, cfg.fs, cfg.init_strategy,
-                                   l_len, cfg.window)
-            p[f"sinc{b}.theta1"] = bank.theta1
-            p[f"sinc{b}.theta2"] = bank.theta2
+            p[f"sinc{b}.theta1"], p[f"sinc{b}.theta2"] = init_filterbank(
+                cfg.n_filters, cfg.fs, cfg.init_strategy)
         else:
             scale = 1.0 / math.sqrt(l_len)
             p[f"plain{b}.kernels"] = Tensor(
@@ -264,9 +259,8 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
     outs = []
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
-            bank = SincFilterBank(params[f"sinc{b}.theta1"], params[f"sinc{b}.theta2"],
-                                  l_len, cfg.fs, cfg.window)
-            kernels = bank_kernels(bank)
+            kernels = bank_kernels(params[f"sinc{b}.theta1"], params[f"sinc{b}.theta2"],
+                                   l_len, cfg.fs, cfg.window)
         else:
             kernels = params[f"plain{b}.kernels"]
         y = F.conv1d_strided(x, kernels, cfg.conv_stride)
@@ -275,11 +269,7 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
     y = concat(outs, axis=-2) if len(outs) > 1 else outs[0]
     # standardize per sample: silent bands sit near log(eps) and would
     # otherwise saturate the tanh recurrence and dwarf the projections
-    m = y.mean(axis=-1, keepdims=True).mean(axis=-2, keepdims=True)
-    centered = y - m
-    var = (centered * centered).mean(axis=-1, keepdims=True) \
-        .mean(axis=-2, keepdims=True)
-    y = centered / (var + 1e-8).sqrt()
+    y = layer_norm(y.reshape(y.shape[0], -1), 1.0, 0.0, eps=1e-8).reshape(y.shape)
     return y.swapaxes(-1, -2)
 
 
@@ -316,10 +306,3 @@ def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:
         h = F.dense(h, params[f"mlp.w{i}"], params[f"mlp.b{i}"], "relu")
     return F.dense(h, params[f"mlp.w{n_hidden}"], params[f"mlp.b{n_hidden}"], "linear")
 
-
-def forward(x, cfg: ModelConfig, params: dict) -> Tensor:
-    """Logits [n_labels] for a single waveform [input_len]."""
-    x = Tensor._coerce(x)
-    if x.ndim != 1:
-        raise ConfigError(f"forward expects a 1-d waveform, got shape {tuple(x.shape)}")
-    return forward_batch(x.reshape(1, -1), cfg, params).reshape(cfg.n_labels)

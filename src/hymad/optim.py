@@ -1,13 +1,13 @@
-"""AdamW with decoupled weight decay, plus a finite-difference gradient checker."""
+"""AdamW with decoupled weight decay."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from hymad.errors import NumericError
-from hymad.tensor import Tensor, no_grad
+from hymad.tensor import Tensor
 
 
 class AdamW:
@@ -53,42 +53,3 @@ class AdamW:
             v_hat = self.v[i] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def grad_check(f: Callable[[], Tensor], params: list[Tensor],
-               eps: float = 1e-5) -> dict:
-    """Compare analytic gradients of a scalar function against central differences.
-
-    `f` must rebuild its graph from the current contents of `params` on every
-    call.  Returns {"max_rel_err": float, "per_param": [(index, rel_err), ...]}.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    for p in params:
-        p.grad = None
-    out = f()
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite")
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-
-    max_rel = 0.0
-    table = []
-    with no_grad():
-        for i, p in enumerate(params):
-            worst = 0.0
-            flat = p.data.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
-                hi = float(f().data)
-                flat[j] = orig - eps
-                lo = float(f().data)
-                flat[j] = orig
-                numeric = (hi - lo) / (2.0 * eps)
-                a = analytic[i].reshape(-1)[j]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                worst = max(worst, rel)
-            table.append((i, worst))
-            max_rel = max(max_rel, worst)
-    return {"max_rel_err": max_rel, "per_param": table}

@@ -8,36 +8,12 @@ index range -(L-1)/2 .. (L-1)/2, giving zero-phase band-pass responses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from hymad.errors import ConfigError, ShapeError
-from hymad.functional import avg_pool1d, conv1d_same
+from hymad.errors import ConfigError
 from hymad.tensor import Tensor
 
 MIN_BAND_HZ = 1.0
-
-
-@dataclass
-class SincFilterBank:
-    theta1: Tensor          # [C] raw low-cutoff parameters
-    theta2: Tensor          # [C] raw bandwidth parameters
-    kernel_len: int
-    fs: float = 8000.0
-    window: str = "hamming"
-
-    def __post_init__(self):
-        if self.kernel_len % 2 != 1 or self.kernel_len < 3:
-            raise ConfigError(f"kernel_len must be odd and >= 3, got {self.kernel_len}")
-        if self.window not in ("hamming", "none"):
-            raise ConfigError(f"window must be 'hamming' or 'none', got {self.window!r}")
-        if self.theta1.shape != self.theta2.shape or self.theta1.ndim != 1:
-            raise ShapeError("theta1/theta2 must be equal-length vectors")
-
-    @property
-    def n_filters(self) -> int:
-        return self.theta1.shape[0]
 
 
 def constrain_cutoffs(theta1, theta2, fs: float,
@@ -79,14 +55,8 @@ def _lowpass_rows(g: Tensor, l_len: int) -> Tensor:
 
 def build_filter(f1, f2, l_len: int, fs: float = 8000.0,
                  window: str = "hamming") -> Tensor:
-    """Band-pass kernel(s) for explicit cutoffs; differentiable w.r.t. f1, f2.
-
-    Accepts scalar or [C]-vector cutoffs; returns [L] or [C, L].
-    """
+    """Band-pass kernels [C, L] for [C] cutoff vectors; differentiable w.r.t. f1, f2."""
     f1, f2 = Tensor._coerce(f1), Tensor._coerce(f2)
-    scalar = f1.ndim == 0
-    if scalar:
-        f1, f2 = f1.reshape(1), f2.reshape(1)
     if l_len % 2 != 1:
         raise ConfigError(f"kernel length must be odd, got {l_len}")
     if np.any(f1.data < 0) or np.any(f1.data > f2.data) or np.any(f2.data > fs / 2.0):
@@ -96,29 +66,19 @@ def build_filter(f1, f2, l_len: int, fs: float = 8000.0,
         kernels = kernels * hamming_window(l_len)
     elif window != "none":
         raise ConfigError(f"unknown window {window!r}")
-    return kernels.reshape(l_len) if scalar else kernels
+    return kernels
 
 
-def bank_kernels(bank: SincFilterBank) -> Tensor:
-    """All C kernels of a bank, [C, L], differentiable back to the thetas."""
-    f1, f2 = constrain_cutoffs(bank.theta1, bank.theta2, bank.fs)
-    return build_filter(f1, f2, bank.kernel_len, bank.fs, bank.window)
+def bank_kernels(theta1, theta2, l_len: int, fs: float = 8000.0,
+                 window: str = "hamming") -> Tensor:
+    """All C kernels [C, L] of a bank's raw [C] thetas, differentiable back to them."""
+    f1, f2 = constrain_cutoffs(theta1, theta2, fs)
+    return build_filter(f1, f2, l_len, fs, window)
 
 
-def sinc_conv_forward(x, bank: SincFilterBank, pool_stride: int = 1) -> Tensor:
-    """Filter a waveform (or batch) through the bank; optional average pooling.
-
-    Returns [C, T/pool] or [B, C, T/pool]; gradients flow to the cutoffs.
-    """
-    y = conv1d_same(x, bank_kernels(bank))
-    if pool_stride > 1:
-        y = avg_pool1d(y, pool_stride)
-    return y
-
-
-def init_filterbank(n_filters: int, fs: float = 8000.0, strategy: str = "linear",
-                    kernel_len: int = 129, window: str = "hamming") -> SincFilterBank:
-    """Seed a bank with contiguous equal-width bands.
+def init_filterbank(n_filters: int, fs: float = 8000.0,
+                    strategy: str = "linear") -> tuple[Tensor, Tensor]:
+    """Raw (theta1, theta2) of a bank of contiguous equal-width bands.
 
     'linear' spans (0, fs/2]; 'low-band' spans (0, fs/8] to bias toward
     low-frequency seismic energy.  Raw thetas are set so constrain_cutoffs
@@ -135,6 +95,5 @@ def init_filterbank(n_filters: int, fs: float = 8000.0, strategy: str = "linear"
     edges = np.linspace(0.0, top, n_filters + 1)
     f1 = edges[:-1]
     f2 = edges[1:]
-    theta1 = Tensor(f1.copy(), requires_grad=True)
-    theta2 = Tensor(f2 - f1 - MIN_BAND_HZ, requires_grad=True)
-    return SincFilterBank(theta1, theta2, kernel_len, fs, window)
+    return (Tensor(f1.copy(), requires_grad=True),
+            Tensor(f2 - f1 - MIN_BAND_HZ, requires_grad=True))

@@ -99,17 +99,24 @@ def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
     if take(32).hex() != cfg.digest():
         raise CompatibilityError(
             "checkpoint config digest does not match the supplied model config")
+    want = {name: t.shape for name, t in M.init_params(cfg).items()}
     count, = struct.unpack("<I", take(4))
     params = {}
     for _ in range(count):
         nlen, = struct.unpack("<H", take(2))
-        name = take(nlen).decode()
+        name = take(nlen).decode(errors="replace")
         ndim, = take(1)
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        if name in params or want.get(name) != shape:
+            raise CompatibilityError(
+                f"{path}: parameter {name!r} {shape} is not in the model or repeats")
         data = np.frombuffer(take(8 * math.prod(shape)), "<f8").reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
     if off != len(blob):
         raise CompatibilityError(f"{path} has {len(blob) - off} trailing bytes")
+    if len(params) != len(want):
+        raise CompatibilityError(
+            f"{path} lacks parameters {sorted(want.keys() - params.keys())}")
     return params
 
 

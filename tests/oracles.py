@@ -3,20 +3,24 @@
 Each oracle is the plain composition (or loop) that a fused op replaced, or an
 independent algorithm for the same result (the FFT convolution), kept here so
 that the fast forward and closed-form backward are checked against a separate
-derivation.
+derivation.  `grad_check` compares any analytic gradient with central
+finite differences.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from hymad.errors import ShapeError
+from hymad.errors import NumericError, ShapeError
 from hymad.functional import RnnParams
-from hymad.tensor import Tensor, concat
+from hymad.tensor import Tensor, concat, no_grad
 
 
 def conv1d_same_naive(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Double-loop reference for conv1d_same; used by tests as the oracle."""
+    """Double-loop same-padded convolution of one signal [T] with kernels [C, L];
+    the reference for conv1d_strided at stride 1."""
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     n_filt, l_len = kernels.shape
@@ -40,18 +44,16 @@ def conv1d_same_fft(x: Tensor, kernels: Tensor) -> Tensor:
     An autodiff node independent of the im2col path in conv1d_strided; the
     strided convolution's forward and backward are checked against it.
 
-    x: [T] or [B, T]; kernels: [C, L] with odd L, stored over centered lags
-    -(L-1)/2 .. (L-1)/2.  Output [B, C, T] (or [C, T] for a single signal):
+    x: [B, T]; kernels: [C, L] with odd L, stored over centered lags
+    -(L-1)/2 .. (L-1)/2.  Output [B, C, T]:
     y[b, c, m] = sum_n x[b, m-n] k[c, n], zero-padded at the edges.
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
-    single = x.ndim == 1
-    xd = x.data[None, :] if single else x.data
-    kd = kernels.data
+    xd, kd = x.data, kernels.data
     if kd.ndim != 2:
         raise ShapeError(f"kernels must be [C, L], got {kernels.shape}")
     bsz, t_len = xd.shape
-    n_filt, l_len = kd.shape
+    l_len = kd.shape[1]
     if l_len % 2 != 1:
         raise ShapeError(f"kernel length must be odd, got {l_len}")
     if t_len < l_len:
@@ -72,8 +74,6 @@ def conv1d_same_fft(x: Tensor, kernels: Tensor) -> Tensor:
             krev_f = np.fft.rfft(kd[:, ::-1], nfft)
             gx_full = np.fft.irfft((gf * krev_f[None, :, :]).sum(axis=1), nfft)
             gx = gx_full[:, half:half + t_len]
-            if single:
-                gx = gx[0]
         if kernels.requires_grad:
             # dL/dk[c, n] = sum_{b,m} g[b,c,m] x[b, m-n], n in [-half, half]
             xrev_f = np.fft.rfft(xd[:, ::-1], nfft)
@@ -82,8 +82,7 @@ def conv1d_same_fft(x: Tensor, kernels: Tensor) -> Tensor:
             gk = corr[:, t_len - 1 - half:t_len + half]
         return (gx, gk)
 
-    out_t = Tensor._result(out, (x, kernels), back)
-    return out_t.reshape(n_filt, t_len) if single else out_t
+    return Tensor._result(out, (x, kernels), back)
 
 
 def softmax_rows_composed(m: Tensor) -> Tensor:
@@ -101,22 +100,56 @@ def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor,
     return (x - mu) / (var + eps).sqrt() * gain + bias
 
 
-def rnn_forward_unrolled(f: Tensor, p: RnnParams,
-                         h0: Tensor | None = None) -> Tensor:
-    """The Elman recurrence unrolled into per-step slice, matmul and tanh nodes."""
-    batched = f.ndim == 3
-    seq = f if batched else f.reshape(1, *f.shape)
-    bsz, steps, c_in = seq.shape
+def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:
+    """The Elman recurrence over [B, T, C], unrolled into per-step slice,
+    matmul and tanh nodes from a zero state."""
+    bsz, steps, c_in = f.shape
     if p.w_x.shape[1] != c_in:
         raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
-    if h0 is None:
-        h = Tensor(np.zeros((bsz, p.hidden)))
-    else:
-        h = h0 if h0.ndim == 2 else h0.reshape(1, -1)
+    h = Tensor(np.zeros((bsz, p.hidden)))
     wht, wxt = p.w_h.T, p.w_x.T
     states = []
     for t in range(steps):
-        h = (h @ wht + seq[:, t, :] @ wxt + p.b).tanh()
+        h = (h @ wht + f[:, t, :] @ wxt + p.b).tanh()
         states.append(h.reshape(bsz, 1, p.hidden))
-    out = concat(states, axis=1)
-    return out if batched else out.reshape(steps, p.hidden)
+    return concat(states, axis=1)
+
+
+def grad_check(f: Callable[[], Tensor], params: list[Tensor],
+               eps: float = 1e-5) -> dict:
+    """Compare analytic gradients of a scalar function against central differences.
+
+    `f` must rebuild its graph from the current contents of `params` on every
+    call.  Returns {"max_rel_err": float, "per_param": [(index, rel_err), ...]}.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for p in params:
+        p.grad = None
+    out = f()
+    if not np.isfinite(out.data).all():
+        raise NumericError("function value is not finite")
+    out.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in params]
+
+    max_rel = 0.0
+    table = []
+    with no_grad():
+        for i, p in enumerate(params):
+            worst = 0.0
+            flat = p.data.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + eps
+                hi = float(f().data)
+                flat[j] = orig - eps
+                lo = float(f().data)
+                flat[j] = orig
+                numeric = (hi - lo) / (2.0 * eps)
+                a = analytic[i].reshape(-1)[j]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                worst = max(worst, rel)
+            table.append((i, worst))
+            max_rel = max(max_rel, worst)
+    return {"max_rel_err": max_rel, "per_param": table}

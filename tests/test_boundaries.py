@@ -10,6 +10,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from hymad import datagen as D
 from hymad import model as M
 from hymad import train as T
 from hymad.errors import CompatibilityError
+from hymad.tensor import Tensor
 
 probe = settings(max_examples=12, deadline=None, database=None)
 
@@ -93,6 +95,30 @@ def test_malformed_manifest_lines_are_rejected(files):
     assert_dataset_rejected(files, manifest=b"\xff" + files["manifest"])
 
 
+def record_lines(files) -> tuple[list[str], int]:
+    """The manifest's lines and the index of its first record line."""
+    lines = files["manifest"].decode().splitlines(keepends=True)
+    return lines, lines.index("[samples]\n") + 1
+
+
+@probe
+@given(st.data())
+def test_flipped_manifest_label_bit_is_rejected(files, data):
+    lines, first = record_lines(files)
+    at = data.draw(st.integers(first, len(lines) - 1), label="record line")
+    fields = lines[at].split("\t")
+    bit = data.draw(st.integers(0, len(fields[3]) - 1), label="label bit")
+    fields[3] = (fields[3][:bit] + "10"[int(fields[3][bit])]
+                 + fields[3][bit + 1:])
+    edited = lines[:at] + ["\t".join(fields)] + lines[at + 1:]
+    assert_dataset_rejected(files, manifest="".join(edited).encode())
+
+
+def test_manifest_cut_inside_its_last_line_is_rejected(files):
+    for cut in (1, 2):
+        assert_dataset_rejected(files, manifest=files["manifest"][:-cut])
+
+
 # -- checkpoints ----------------------------------------------------------------
 
 def tiny_model():
@@ -148,3 +174,50 @@ def test_checkpoint_cut_at_every_structural_offset_is_rejected(checkpoint):
 def test_checkpoint_trailing_bytes_are_rejected(checkpoint, extra):
     with pytest.raises(CompatibilityError, match="trailing"):
         load_checkpoint_bytes(checkpoint + extra)
+
+
+def test_checkpoint_of_other_values_loads(checkpoint):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        other = M.init_params(tiny_model(), seed=1)
+        T.save_checkpoint(path, tiny_model(), other)
+        assert T.params_digest(T.load_checkpoint(path, tiny_model())) \
+            == T.params_digest(other)
+
+
+def test_any_flipped_name_ndim_or_shape_byte_is_rejected(checkpoint):
+    # past the file header, each parameter has five fields: name length,
+    # name, ndim, shape and data; every byte of the first four is flipped
+    fields = checkpoint_fields(checkpoint)[4:]
+    offsets = [at for i, (start, end) in enumerate(fields) if i % 5 in (0, 1, 2, 3)
+               for at in range(start, end)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        for at in offsets:
+            for mask in (0x01, 0x80):
+                blob = bytearray(checkpoint)
+                blob[at] ^= mask
+                path.write_bytes(bytes(blob))
+                with pytest.raises(CompatibilityError):
+                    T.load_checkpoint(path, tiny_model())
+
+
+def test_unknown_missing_repeated_or_reshaped_parameter_is_rejected(checkpoint):
+    params = M.init_params(tiny_model(), seed=0)
+    first = checkpoint_fields(checkpoint)[4:9]        # the first parameter's record
+    record = checkpoint[first[0][0]:first[-1][1]]
+    n = len(params)
+    assert checkpoint[40:44] == n.to_bytes(4, "little")
+    repeated = checkpoint[:40] + (n + 1).to_bytes(4, "little") + record + checkpoint[44:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(repeated)
+        with pytest.raises(CompatibilityError, match="repeats"):
+            T.load_checkpoint(path, tiny_model())
+        name = sorted(params)[0]
+        for edited in ({**params, "extra.w": params[name]},
+                       {k: v for k, v in params.items() if k != name},
+                       {**params, name: Tensor(np.zeros(params[name].shape + (1,)))}):
+            T.save_checkpoint(path, tiny_model(), edited)
+            with pytest.raises(CompatibilityError):
+                T.load_checkpoint(path, tiny_model())

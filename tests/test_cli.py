@@ -202,11 +202,37 @@ def _pad_checkpoint(data, ckpt):
     ckpt.write_bytes(ckpt.read_bytes() + b"\x00")
 
 
+def _set_first_name_byte(value):
+    # magic, version, digest, count and the first name's length come first
+    def damage(data, ckpt):
+        blob = bytearray(ckpt.read_bytes())
+        blob[4 + 4 + 32 + 4 + 2] = value
+        ckpt.write_bytes(bytes(blob))
+    return damage
+
+
+def _flip_manifest_label_bit(data, ckpt):
+    lines = (data / "manifest").read_text().splitlines(keepends=True)
+    at = lines.index("[samples]\n") + 1
+    fields = lines[at].split("\t")
+    fields[3] = "10"[int(fields[3][0])] + fields[3][1:]
+    lines[at] = "\t".join(fields)
+    (data / "manifest").write_text("".join(lines))
+
+
+def _cut_manifest_newline(data, ckpt):
+    (data / "manifest").write_bytes((data / "manifest").read_bytes()[:-1])
+
+
 @pytest.mark.parametrize("damage, extra", [
     (_flip_byte, []), (_flip_byte, ["--ablate"]), (_truncate_shard, []),
     (_malform_manifest_line, []), (_truncate_checkpoint, []), (_pad_checkpoint, []),
+    (_set_first_name_byte(0xFF), []), (_set_first_name_byte(ord("z")), []),
+    (_flip_manifest_label_bit, []), (_cut_manifest_newline, []),
 ], ids=["flipped-shard-byte", "flipped-shard-byte-ablate", "truncated-shard",
-        "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes"])
+        "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes",
+        "undecodable-checkpoint-name", "unknown-checkpoint-name",
+        "flipped-manifest-label-bit", "manifest-without-final-newline"])
 def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, extra):
     import shutil
     from hymad import model as M, train as T

@@ -6,10 +6,9 @@ import pytest
 
 from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
-from hymad.optim import grad_check
 from hymad.tensor import Tensor
 
-from oracles import (conv1d_same_fft, conv1d_same_naive,
+from oracles import (conv1d_same_fft, conv1d_same_naive, grad_check,
                      rnn_forward_unrolled, softmax_rows_composed)
 
 
@@ -121,14 +120,14 @@ def _rnn_params(w_h, w_x, b):
 
 def test_rnn_all_zero_weights():
     p = _rnn_params(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
-    out = F.rnn_forward(Tensor(np.random.default_rng(0).standard_normal((5, 2))), p)
-    np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
+    out = F.rnn_forward(Tensor(np.random.default_rng(0).standard_normal((1, 5, 2))), p)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 5, 3)))
 
 
 def test_rnn_scalar_closed_form():
     p = _rnn_params(np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1))
-    out = F.rnn_forward(Tensor(np.array([[1.0], [-1.0]])), p)
-    np.testing.assert_allclose(out.data, [[math.tanh(1.0)], [math.tanh(-1.0)]],
+    out = F.rnn_forward(Tensor(np.array([[[1.0], [-1.0]]])), p)
+    np.testing.assert_allclose(out.data, [[[math.tanh(1.0)], [math.tanh(-1.0)]]],
                                atol=1e-15)
 
 
@@ -153,7 +152,7 @@ def test_rnn_matches_scalar_loop_oracle():
             z[i] = math.tanh(acc)
         h = z
         want[t] = h
-    got = F.rnn_forward(Tensor(f), _rnn_params(w_h, w_x, b)).data
+    got = F.rnn_forward(Tensor(f[None]), _rnn_params(w_h, w_x, b)).data[0]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -164,7 +163,7 @@ def test_rnn_batched_matches_single():
     f = rng.standard_normal((4, 5, 2))
     batched = F.rnn_forward(Tensor(f), p).data
     for i in range(4):
-        single = F.rnn_forward(Tensor(f[i]), p).data
+        single = F.rnn_forward(Tensor(f[i:i + 1]), p).data[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-14)
 
 
@@ -172,28 +171,19 @@ def _rnn_case(seed, bsz, steps=5, c_in=3, h_dim=4):
     rng = np.random.default_rng(seed)
     p = _rnn_params(rng.standard_normal((h_dim, h_dim)) * 0.5,
                     rng.standard_normal((h_dim, c_in)), rng.standard_normal(h_dim))
-    shape = (steps, c_in) if bsz is None else (bsz, steps, c_in)
-    f = Tensor(rng.standard_normal(shape), requires_grad=True)
-    w = rng.standard_normal(shape[:-1] + (h_dim,))
-    return p, f, w, rng
+    f = Tensor(rng.standard_normal((bsz, steps, c_in)), requires_grad=True)
+    w = rng.standard_normal((bsz, steps, h_dim))
+    return p, f, w
 
 
-@pytest.mark.parametrize("bsz,h0_shape", [
-    (None, None), (3, None), (3, "vector"), (3, "batch"), (None, "vector")])
-def test_rnn_fused_matches_unrolled_oracle(bsz, h0_shape):
-    p, f, w, rng = _rnn_case(30, bsz)
-    h_dim = p.hidden
-    h0 = None
-    if h0_shape is not None:
-        shape = (h_dim,) if h0_shape == "vector" else (bsz, h_dim)
-        h0 = Tensor(rng.standard_normal(shape), requires_grad=True)
-    leaves = [f, p.w_h, p.w_x, p.b] + ([h0] if h0 is not None else [])
+@pytest.mark.parametrize("bsz", [1, 3])
+def test_rnn_fused_matches_unrolled_oracle(bsz):
+    p, f, w = _rnn_case(30, bsz)
+    leaves = [f, p.w_h, p.w_x, p.b]
     copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
-    p2 = F.RnnParams(*copies[1:4])
-    h02 = copies[4] if h0 is not None else None
 
-    fused = F.rnn_forward(f, p, h0)
-    unrolled = rnn_forward_unrolled(copies[0], p2, h02)
+    fused = F.rnn_forward(f, p)
+    unrolled = rnn_forward_unrolled(copies[0], F.RnnParams(*copies[1:]))
     np.testing.assert_allclose(fused.data, unrolled.data, rtol=0, atol=1e-12)
     (fused * w).sum().backward()
     (unrolled * w).sum().backward()
@@ -202,11 +192,10 @@ def test_rnn_fused_matches_unrolled_oracle(bsz, h0_shape):
         np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
 
 
-def test_rnn_gradient_check_with_h0_and_input_grad():
-    p, f, w, rng = _rnn_case(31, 2, steps=4, c_in=2, h_dim=3)
-    h0 = Tensor(rng.standard_normal(3), requires_grad=True)
-    rep = grad_check(lambda: (F.rnn_forward(f, p, h0) * w).sum(),
-                     [f, p.w_h, p.w_x, p.b, h0])
+def test_rnn_gradient_check_with_input_grad():
+    p, f, w = _rnn_case(31, 2, steps=4, c_in=2, h_dim=3)
+    rep = grad_check(lambda: (F.rnn_forward(f, p) * w).sum(),
+                     [f, p.w_h, p.w_x, p.b])
     assert rep["max_rel_err"] < 1e-6
 
 
@@ -293,22 +282,22 @@ def test_conv_impulse_reproduces_time_reversed_kernel():
     x[32] = 1.0
     rng = np.random.default_rng(10)
     k = rng.standard_normal((1, l_len))
-    out = F.conv1d_same(Tensor(x), Tensor(k)).data[0]
+    out = F.conv1d_strided(Tensor(x[None]), Tensor(k), 1).data[0, 0]
     # y[32+n] = k[n]: the centered-lag kernel appears around the impulse
     half = (l_len - 1) // 2
     np.testing.assert_allclose(out[32 - half:32 + half + 1], k[0], atol=1e-12)
 
 
 def test_conv_zero_input():
-    out = F.conv1d_same(Tensor(np.zeros(32)), Tensor(np.ones((2, 5)))).data
-    np.testing.assert_allclose(out, np.zeros((2, 32)), atol=1e-14)
+    out = F.conv1d_strided(Tensor(np.zeros((1, 32))), Tensor(np.ones((2, 5))), 1).data
+    np.testing.assert_allclose(out, np.zeros((1, 2, 32)), atol=1e-14)
 
 
 def test_conv_matches_double_loop_oracle():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(64)
     k = rng.standard_normal((4, 17))
-    got = F.conv1d_same(Tensor(x), Tensor(k)).data
+    got = F.conv1d_strided(Tensor(x[None]), Tensor(k), 1).data[0]
     np.testing.assert_allclose(got, conv1d_same_naive(x, k), atol=1e-10)
 
 
@@ -316,23 +305,26 @@ def test_conv_linearity():
     rng = np.random.default_rng(12)
     x, y = rng.standard_normal(48), rng.standard_normal(48)
     k = rng.standard_normal((2, 7))
-    lhs = F.conv1d_same(Tensor(2.0 * x + 3.0 * y), Tensor(k)).data
-    rhs = 2.0 * F.conv1d_same(Tensor(x), Tensor(k)).data \
-        + 3.0 * F.conv1d_same(Tensor(y), Tensor(k)).data
+    lhs = F.conv1d_strided(Tensor((2.0 * x + 3.0 * y)[None]), Tensor(k), 1).data
+    rhs = 2.0 * F.conv1d_strided(Tensor(x[None]), Tensor(k), 1).data \
+        + 3.0 * F.conv1d_strided(Tensor(y[None]), Tensor(k), 1).data
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
-def test_conv_signal_shorter_than_kernel_rejected():
-    with pytest.raises(ShapeError):
-        F.conv1d_same(Tensor(np.zeros(4)), Tensor(np.ones((1, 9))))
+def test_conv_signal_shorter_than_kernel_matches_oracle():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(4)
+    k = rng.standard_normal((2, 9))
+    got = F.conv1d_strided(Tensor(x[None]), Tensor(k), 1).data[0]
+    np.testing.assert_allclose(got, conv1d_same_naive(x, k), atol=1e-12)
 
 
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
-    x = Tensor(rng.standard_normal(32), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 32)), requires_grad=True)
     k = Tensor(rng.standard_normal((2, 9)), requires_grad=True)
-    w = rng.standard_normal((2, 32))  # fixed mixing so the scalar depends on all cells
-    rep = grad_check(lambda: (F.conv1d_same(x, k) * w).sum(), [x, k])
+    w = rng.standard_normal((1, 2, 32))  # fixed mixing so the scalar depends on all cells
+    rep = grad_check(lambda: (F.conv1d_strided(x, k, 1) * w).sum(), [x, k])
     assert rep["max_rel_err"] < 1e-6
 
 

@@ -6,10 +6,9 @@ import pytest
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad import model as M
-from hymad.optim import grad_check
 from hymad.tensor import Tensor, no_grad
 
-from oracles import layer_norm_composed
+from oracles import grad_check, layer_norm_composed
 
 
 def tiny_cfg(**kw):
@@ -105,7 +104,7 @@ def test_self_attention_single_element():
     d = 4
     p = _attn_params(d)
     x = np.random.default_rng(1).standard_normal((1, d))
-    out = M.self_attention_block(Tensor(x), p, "self_freq").data
+    out = M.self_attention_block(Tensor(x[None]), p, "self_freq").data[0]
     attn = x @ p["self_freq.wv"].data @ p["self_freq.wo"].data
     z = x + attn
     mu, sd = z.mean(), z.std()
@@ -118,8 +117,8 @@ def test_self_attention_permutation_equivariant_without_posenc():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, d))
     perm = rng.permutation(5)
-    a = M.self_attention_block(Tensor(x), p, "self_freq").data
-    b = M.self_attention_block(Tensor(x[perm]), p, "self_freq").data
+    a = M.self_attention_block(Tensor(x[None]), p, "self_freq").data[0]
+    b = M.self_attention_block(Tensor(x[None, perm]), p, "self_freq").data[0]
     np.testing.assert_allclose(a[perm], b, atol=1e-12)
 
 
@@ -136,7 +135,7 @@ def test_self_attention_matches_composition_oracle():
     mu = z.mean(axis=-1, keepdims=True)
     var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
     want = (z - mu) / np.sqrt(var + 1e-6)
-    got = M.self_attention_block(Tensor(x), p, "self_freq").data
+    got = M.self_attention_block(Tensor(x[None]), p, "self_freq").data[0]
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -146,8 +145,8 @@ def test_cross_fuse_width_and_oracle():
     rng = np.random.default_rng(8)
     a_f = rng.standard_normal((5, d))
     a_t = rng.standard_normal((5, d))
-    out = M.cross_fuse(Tensor(a_f), Tensor(a_t), p).data
-    assert out.shape == (5, 2 * d)
+    out = M.cross_fuse(Tensor(a_f[None]), Tensor(a_t[None]), p).data
+    assert out.shape == (1, 5, 2 * d)
 
     def block(qsrc, kvsrc, prefix):
         q = qsrc @ p[f"{prefix}.wq"].data
@@ -161,14 +160,14 @@ def test_cross_fuse_width_and_oracle():
 
     want = np.concatenate([block(a_f, a_t, "cross_freq"),
                            block(a_t, a_f, "cross_temp")], axis=-1)
-    np.testing.assert_allclose(out, want, atol=1e-10)
+    np.testing.assert_allclose(out[0], want, atol=1e-10)
 
 
 def test_cross_fuse_rejects_length_mismatch():
     d = 4
     p = {**_attn_params(d, 6, "cross_freq"), **_attn_params(d, 7, "cross_temp")}
     with pytest.raises(ShapeError):
-        M.cross_fuse(Tensor(np.zeros((4, d))), Tensor(np.zeros((5, d))), p)
+        M.cross_fuse(Tensor(np.zeros((1, 4, d))), Tensor(np.zeros((1, 5, d))), p)
 
 
 # -- full forward -------------------------------------------------------------
@@ -177,8 +176,8 @@ def test_forward_output_shape():
     cfg = tiny_cfg()
     p = M.init_params(cfg, seed=0)
     x = np.random.default_rng(9).standard_normal(256)
-    out = M.forward(Tensor(x), cfg, p)
-    assert out.shape == (4,)
+    out = M.forward_batch(Tensor(x[None]), cfg, p)
+    assert out.shape == (1, 4)
 
 
 def test_forward_batch_consistent_with_single():
@@ -189,8 +188,8 @@ def test_forward_batch_consistent_with_single():
     with no_grad():
         batched = M.forward_batch(xb, cfg, p).data
         for i in range(3):
-            single = M.forward(Tensor(xb[i]), cfg, p).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+            single = M.forward_batch(Tensor(xb[i][None]), cfg, p).data
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
 
 def test_forward_deterministic():
@@ -198,8 +197,8 @@ def test_forward_deterministic():
     p = M.init_params(cfg, seed=2)
     x = np.random.default_rng(11).standard_normal(256)
     with no_grad():
-        a = M.forward(Tensor(x), cfg, p).data
-        b = M.forward(Tensor(x), cfg, p).data
+        a = M.forward_batch(Tensor(x[None]), cfg, p).data
+        b = M.forward_batch(Tensor(x[None]), cfg, p).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -207,7 +206,7 @@ def test_forward_rejects_wrong_length():
     cfg = tiny_cfg()
     p = M.init_params(cfg, seed=3)
     with pytest.raises(ConfigError):
-        M.forward(Tensor(np.zeros(255)), cfg, p)
+        M.forward_batch(Tensor(np.zeros((1, 255))), cfg, p)
 
 
 def test_logits_finite_for_random_draws():
@@ -227,8 +226,8 @@ def test_circular_shift_changes_logits_with_posenc():
     x = rng.standard_normal(256)
     shifted = np.roll(x, 256 // 2)
     with no_grad():
-        a = M.forward(Tensor(x), cfg, p).data
-        b = M.forward(Tensor(shifted), cfg, p).data
+        a = M.forward_batch(Tensor(x[None]), cfg, p).data
+        b = M.forward_batch(Tensor(shifted[None]), cfg, p).data
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -239,8 +238,8 @@ def test_fusion_mode_widths():
         assert cfg.fused_width == width
         p = M.init_params(cfg, seed=6)
         with no_grad():
-            out = M.forward(Tensor(np.zeros(256)), cfg, p)
-        assert out.shape == (4,)
+            out = M.forward_batch(Tensor(np.zeros((1, 256))), cfg, p)
+        assert out.shape == (1, 4)
 
 
 def test_multihead_runs_and_differs_from_single_head():
@@ -250,7 +249,7 @@ def test_multihead_runs_and_differs_from_single_head():
         for heads in (1, 2):
             cfg = tiny_cfg(n_heads=heads)
             p = M.init_params(cfg, seed=7)
-            outs.append(M.forward(Tensor(x), cfg, p).data)
+            outs.append(M.forward_batch(Tensor(x[None]), cfg, p).data)
     assert np.max(np.abs(outs[0] - outs[1])) > 1e-9
 
 
@@ -259,8 +258,8 @@ def test_plain_frontend_forward():
     p = M.init_params(cfg, seed=8)
     assert "plain0.kernels" in p
     with no_grad():
-        out = M.forward(Tensor(np.zeros(256)), cfg, p)
-    assert out.shape == (4,)
+        out = M.forward_batch(Tensor(np.zeros((1, 256))), cfg, p)
+    assert out.shape == (1, 4)
 
 
 def test_multiscale_branches():
@@ -268,9 +267,9 @@ def test_multiscale_branches():
     assert cfg.c_total == 8
     p = M.init_params(cfg, seed=9)
     with no_grad():
-        out = M.forward(Tensor(np.random.default_rng(15).standard_normal(256)),
-                        cfg, p)
-    assert out.shape == (4,)
+        out = M.forward_batch(
+            Tensor(np.random.default_rng(15).standard_normal((1, 256))), cfg, p)
+    assert out.shape == (1, 4)
 
 
 def test_config_validation_errors():
@@ -290,3 +289,13 @@ def test_config_requires_one_label_per_class():
     for n in (1, 3, 5):
         with pytest.raises(ConfigError, match="n_labels"):
             tiny_cfg(n_labels=n)
+
+
+def test_config_checks_window_and_sinc_kernel_length():
+    with pytest.raises(ConfigError, match="window"):
+        tiny_cfg(window="hann")
+    with pytest.raises(ConfigError, match=">= 3"):
+        tiny_cfg(kernel_len=1)
+    with pytest.raises(ConfigError, match=">= 3"):
+        tiny_cfg(branches=2, branch_lens=(1, 17))
+    assert tiny_cfg(frontend="plain", kernel_len=1).kernel_lens() == (1,)

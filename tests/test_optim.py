@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hymad.errors import NumericError
-from hymad.optim import AdamW, grad_check
+from hymad.optim import AdamW
 from hymad.tensor import Tensor
+
+from oracles import grad_check
 
 
 def test_zero_grad_zero_decay_leaves_parameter():

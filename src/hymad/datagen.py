@@ -328,17 +328,17 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
         shard_digests[split] = digest.hexdigest()
 
     cfg = ds.config
+    body = "".join(_record_line(r) + "\n" for r in ds.records)
     lines = [f"hymad-dataset v{MANIFEST_VERSION}",
              f"seed = {cfg.seed}",
              f"n_per_class = {cfg.n_per_class}",
              f"ratios = {cfg.ratios[0]!r},{cfg.ratios[1]!r},{cfg.ratios[2]!r}",
              f"delay_max = {cfg.delay_max}",
              f"scale_lo = {cfg.scale_lo!r}",
-             f"scale_hi = {cfg.scale_hi!r}"]
+             f"scale_hi = {cfg.scale_hi!r}",
+             f"records = {hashlib.sha256(body.encode()).hexdigest()}"]
     lines += [f"shard_{s} = {shard_digests[s]}" for s in SPLITS]
-    lines.append("[samples]")
-    lines += [_record_line(r) for r in ds.records]
-    (out / "manifest").write_text("\n".join(lines) + "\n")
+    (out / "manifest").write_text("\n".join(lines) + "\n[samples]\n" + body)
     return out
 
 
@@ -347,18 +347,21 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
     file = path / "manifest"
     try:
         text = file.read_text(encoding="utf-8")
-        if not text.endswith("\n"):
-            raise ValueError("the last line is cut")
-        lines = text.splitlines()
-        if lines[:1] != [f"hymad-dataset v{MANIFEST_VERSION}"]:
+        head, found, body = text.partition("\n[samples]\n")
+        if not found:
+            raise ValueError("no [samples] line")
+        lines = head.split("\n")
+        if lines[0] != f"hymad-dataset v{MANIFEST_VERSION}":
             raise ValueError(f"no 'hymad-dataset v{MANIFEST_VERSION}' header")
-        body_at = lines.index("[samples]")
-        header = dict(line.split(" = ", 1) for line in lines[1:body_at])
+        header = dict(line.split(" = ", 1) for line in lines[1:])
+        # the records' digest also catches a cut last line or final newline
+        if hashlib.sha256(body.encode()).hexdigest() != header["records"]:
+            raise ValueError("the records do not match their digest")
         ratios = tuple(float(v) for v in header["ratios"].split(","))
         cfg = DatasetConfig(int(header["n_per_class"]), ratios,
                             int(header["seed"]), int(header["delay_max"]),
                             float(header["scale_lo"]), float(header["scale_hi"]))
-        records = [_parse_record(line) for line in lines[body_at + 1:] if line]
+        records = [_parse_record(line) for line in body.splitlines()]
         digests = {s: header[f"shard_{s}"] for s in SPLITS}
     except (ValueError, KeyError) as exc:
         raise CompatibilityError(f"malformed manifest {file}: {exc}") from exc

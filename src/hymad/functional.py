@@ -14,17 +14,28 @@ from hymad.errors import NumericError, ShapeError
 from hymad.tensor import Tensor
 
 
+BATCH_CHUNK = 16   # batch rows per block of the chunked kernels
+
+
+def _softmax_(p: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis of `p`, in place, stabilized by max
+    subtraction; NaN input raises NumericError (the row max propagates it)."""
+    mx = p.max(axis=-1, keepdims=True)
+    if np.isnan(mx).any():
+        raise NumericError("softmax input contains NaN")
+    p -= mx
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by max subtraction.
+    """Row-wise softmax over the last axis.
 
     One graph node; the backward is the closed form p * (g - sum(g * p)).
     """
     m = Tensor._coerce(m)
-    if np.isnan(m.data).any():
-        raise NumericError("softmax input contains NaN")
-    p = m.data - m.data.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax_(m.data.copy())
 
     def back(g):
         gp = g * p
@@ -34,16 +45,48 @@ def softmax_rows(m: Tensor) -> Tensor:
     return Tensor._result(p, (m,), back)
 
 
+def sdpa_forward(q, k, v, p, o):
+    """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
+    writes p = softmax(q k^T) and o = p v into the given buffers."""
+    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
+    _softmax_(p)
+    np.matmul(p, v, out=o)
+
+
+def sdpa_backward(q, k, v, p, o, go, gq, gk, gv):
+    """The gradients of `sdpa_forward` for output gradient `go`, written into
+    `gq`, `gk` and `gv`; the softmax rows are recovered from the stored `p`,
+    and sum_s gP ⊙ P over a row is the cheaper go·o."""
+    np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
+    gs = go @ np.swapaxes(v, -1, -2)
+    gs -= (go * o).sum(axis=-1, keepdims=True)
+    gs *= p
+    np.matmul(gs, k, out=gq)
+    np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention: softmax(Q K^T / sqrt(d_k)) V."""
+    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V over
+    [..., T, d] inputs, one node over the attention block's kernels."""
     q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
         raise ShapeError(f"query width {d_k} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
-    scores = (q * (1.0 / math.sqrt(d_k))) @ k.T
-    return softmax_rows(scores) @ v
+    scale = 1.0 / math.sqrt(d_k)
+    qs = q.data * scale
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    o = np.empty(q.shape[:-1] + v.shape[-1:])
+    sdpa_forward(qs, k.data, v.data, p, o)
+
+    def back(g):
+        gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
+        sdpa_backward(qs, k.data, v.data, p, o, g, gq, gk, gv)
+        gq *= scale
+        return (gq, gk, gv)
+
+    return Tensor._result(o, (q, k, v), back)
 
 
 @dataclass
@@ -148,7 +191,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
-                   chunk: int = 16) -> Tensor:
+                   chunk: int = BATCH_CHUNK) -> Tensor:
     """Same-padded 1-d convolution of signals with a filter bank, evaluated at
     every `stride`-th lag.
 
@@ -213,11 +256,20 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     return Tensor._result(out, (x, kernels), back)
 
 
-def avg_pool1d(x: Tensor, stride: int) -> Tensor:
-    """Non-overlapping average pooling over the last axis."""
-    x = Tensor._coerce(x)
-    t_len = x.shape[-1]
-    if t_len % stride != 0:
-        raise ShapeError(f"length {t_len} not divisible by pool stride {stride}")
-    pooled_shape = x.shape[:-1] + (t_len // stride, stride)
-    return x.reshape(*pooled_shape).mean(axis=-1)
+def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:
+    """log(mean(y^2) + eps) over non-overlapping windows of `pool` samples on
+    the last axis, one node; the backward is 2 y g / (pool (mean + eps))."""
+    y = Tensor._coerce(y)
+    t_len = y.shape[-1]
+    if t_len % pool != 0:
+        raise ShapeError(f"length {t_len} not divisible by pool stride {pool}")
+    windows = y.data.reshape(*y.shape[:-1], t_len // pool, pool)
+    e = (windows * windows).sum(axis=-1) * (1.0 / pool)
+    e += eps
+
+    def back(g):
+        s = g / e
+        s *= 2.0 / pool
+        return ((windows * s[..., None]).reshape(y.shape),)
+
+    return Tensor._result(np.log(e), (y,), back)

@@ -124,49 +124,116 @@ def add_positional(e: Tensor) -> Tensor:
     return e + positional_encoding(e.shape[-2], e.shape[-1])
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
+def _normalize_(z: np.ndarray, eps: float) -> np.ndarray:
+    """Centre the last axis of `z` and scale it to unit variance, in place;
+    returns 1 / sqrt(var + eps)."""
+    z -= z.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((z * z).mean(axis=-1, keepdims=True) + eps)
+    z *= inv
+    return inv
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, dk = x.shape
-    return x.swapaxes(1, 2).reshape(b, t, h * dk)
-
-
-def _multihead(q_src: Tensor, kv_src: Tensor, p: dict, prefix: str,
-               n_heads: int) -> Tensor:
-    q = _split_heads(q_src @ p[f"{prefix}.wq"], n_heads)
-    k = _split_heads(kv_src @ p[f"{prefix}.wk"], n_heads)
-    v = _split_heads(kv_src @ p[f"{prefix}.wv"], n_heads)
-    return _merge_heads(F.attention(q, k, v)) @ p[f"{prefix}.wo"]
+def _layer_norm_back(gg: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of layer norm, from gg = g * gain."""
+    gx = gg - gg.mean(axis=-1, keepdims=True)
+    gx -= xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+    gx *= inv
+    return gx
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node."""
     x, gain, bias = (Tensor._coerce(t) for t in (x, gain, bias))
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
+    xhat = x.data.copy()
+    inv = _normalize_(xhat, eps)
 
     def back(g):
-        gg = g * gain.data
-        gx = gg - gg.mean(axis=-1, keepdims=True)
-        gx -= xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-        gx *= inv
-        return (gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
+        return (_layer_norm_back(g * gain.data, xhat, inv),
+                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
     out = xhat * gain.data
     out += bias.data
     return Tensor._result(out, (x, gain, bias), back)
 
 
+def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
+                    n_heads: int) -> Tensor:
+    """layer_norm(x + MHA(x, kv)) over [B, T, d] streams, as one node.
+
+    Queries come from `x`, keys and values from `kv` (self-attention when
+    `kv is x`).  The input projection is one [d, 3d] matrix
+    [Wq / sqrt(d_k) | Wk | Wv], applied as one GEMM for self-attention and as
+    two (queries, keys and values) for cross-attention; heads are strided
+    views of its output.  Attention runs over batch chunks of
+    `F.BATCH_CHUNK` into preallocated probability and output buffers, which
+    the backward reads instead of recomputing the softmax.
+    """
+    x, kv = Tensor._coerce(x), Tensor._coerce(kv)
+    if kv.shape != x.shape:
+        raise ShapeError(f"stream shapes differ: {x.shape} vs {kv.shape}")
+    wq, wk, wv, wo, gain, bias = (params[f"{prefix}.{n}"] for n in
+                                  ("wq", "wk", "wv", "wo", "ln_g", "ln_b"))
+    bsz, t_len, d = x.shape
+    d_k = d // n_heads
+    scale = 1.0 / math.sqrt(d_k)
+    w_in = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
+    # (input, projection columns it feeds): queries, then keys and values
+    x2 = x.data.reshape(-1, d)
+    spans = [(x2, slice(None))] if kv is x else \
+        [(x2, slice(0, d)), (kv.data.reshape(-1, d), slice(d, None))]
+
+    def heads(a, col):
+        """Columns col:col+d of [B, T, n*d] `a` as a [B, h, T, d_k] view."""
+        return a[..., col:col + d].reshape(bsz, t_len, n_heads, d_k) \
+            .transpose(0, 2, 1, 3)
+
+    proj = np.empty((bsz, t_len, 3 * d))
+    for src, cols in spans:
+        np.matmul(src, w_in[:, cols], out=proj.reshape(-1, 3 * d)[:, cols])
+    qkv = [heads(proj, c) for c in (0, d, 2 * d)]
+    p = np.empty((bsz, n_heads, t_len, t_len))
+    o = np.empty((bsz, t_len, d))
+    o_h = heads(o, 0)
+    chunks = [slice(i, i + F.BATCH_CHUNK) for i in range(0, bsz, F.BATCH_CHUNK)]
+    for c in chunks:
+        F.sdpa_forward(*(a[c] for a in qkv), p[c], o_h[c])
+    xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
+    xhat += x.data
+    inv = _normalize_(xhat, 1e-6)
+
+    def back(g):
+        gz = _layer_norm_back(g * gain.data, xhat, inv)
+        gz2 = gz.reshape(-1, d)
+        g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
+        g_wo = o.reshape(-1, d).T @ gz2
+        go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
+        gproj = np.empty_like(proj)
+        gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
+        for c in chunks:
+            F.sdpa_backward(*(a[c] for a in qkv), p[c], o_h[c], go_h[c],
+                            *(a[c] for a in gqkv))
+        gp2 = gproj.reshape(-1, 3 * d)
+        g_w = np.empty_like(w_in)
+        g_src = []
+        for src, cols in spans:
+            np.matmul(src.T, gp2[:, cols], out=g_w[:, cols])
+            g_src.append((gp2[:, cols] @ w_in[:, cols].T).reshape(x.shape))
+        g_src[0] += gz
+        g_w[:, :d] *= scale
+        return (g_src[0], g_src[1] if len(g_src) > 1 else None,
+                g_w[:, :d], g_w[:, d:2 * d], g_w[:, 2 * d:], g_wo, g_gain,
+                g.reshape(-1, d).sum(axis=0))
+
+    out = xhat * gain.data
+    out += bias.data
+    return Tensor._result(out, (x, kv, wq, wk, wv, wo, gain, bias), back)
+
+
 def self_attention_block(x: Tensor, params: dict, prefix: str,
                          n_heads: int = 1) -> Tensor:
     """Self-attention over [B, T, d] with residual connection and layer norm."""
     x = Tensor._coerce(x)
-    a = _multihead(x, x, params, prefix, n_heads)
-    return layer_norm(x + a, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
+    return attention_block(x, x, params, prefix, n_heads)
 
 
 def cross_fuse(a_freq: Tensor, a_temp: Tensor, params: dict,
@@ -174,16 +241,9 @@ def cross_fuse(a_freq: Tensor, a_temp: Tensor, params: dict,
     """Bidirectional cross-attention over two [B, T, d] streams; the output
     [B, T, 2d] is the freq-then-temp concatenation."""
     a_freq, a_temp = Tensor._coerce(a_freq), Tensor._coerce(a_temp)
-    if a_freq.shape[-2] != a_temp.shape[-2]:
-        raise ShapeError(
-            f"stream lengths differ: {a_freq.shape[-2]} vs {a_temp.shape[-2]}")
-    c_freq = _multihead(a_freq, a_temp, params, "cross_freq", n_heads)
-    c_freq = layer_norm(a_freq + c_freq, params["cross_freq.ln_g"],
-                        params["cross_freq.ln_b"])
-    c_temp = _multihead(a_temp, a_freq, params, "cross_temp", n_heads)
-    c_temp = layer_norm(a_temp + c_temp, params["cross_temp.ln_g"],
-                        params["cross_temp.ln_b"])
-    return concat([c_freq, c_temp], axis=-1)
+    return concat([attention_block(a_freq, a_temp, params, "cross_freq", n_heads),
+                   attention_block(a_temp, a_freq, params, "cross_temp", n_heads)],
+                  axis=-1)
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
@@ -264,8 +324,8 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
         else:
             kernels = params[f"plain{b}.kernels"]
         y = F.conv1d_strided(x, kernels, cfg.conv_stride)
-        energy = F.avg_pool1d(y * y, cfg.pool_stride // cfg.conv_stride)
-        outs.append((energy + LOG_ENERGY_EPS).log())
+        outs.append(F.log_pool_energy(y, cfg.pool_stride // cfg.conv_stride,
+                                      LOG_ENERGY_EPS))
     y = concat(outs, axis=-2) if len(outs) > 1 else outs[0]
     # standardize per sample: silent bands sit near log(eps) and would
     # otherwise saturate the tanh recurrence and dwarf the projections

@@ -100,6 +100,41 @@ def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor,
     return (x - mu) / (var + eps).sqrt() * gain + bias
 
 
+def avg_pool1d(x: Tensor, stride: int) -> Tensor:
+    """Non-overlapping average pooling over the last axis."""
+    t_len = x.shape[-1]
+    if t_len % stride != 0:
+        raise ShapeError(f"length {t_len} not divisible by pool stride {stride}")
+    return x.reshape(*x.shape[:-1], t_len // stride, stride).mean(axis=-1)
+
+
+def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
+    """The frontend's pooled log energy as product, pool, shift and log nodes."""
+    return (avg_pool1d(y * y, pool) + eps).log()
+
+
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    b, h, t, dk = x.shape
+    return x.swapaxes(1, 2).reshape(b, t, h * dk)
+
+
+def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
+                             n_heads: int) -> Tensor:
+    """layer_norm(x + MHA(x, kv)) from primitive nodes: per-weight
+    projections, head reshapes, the composed softmax, and composed layer norm."""
+    q = _split_heads(x @ p[f"{prefix}.wq"], n_heads)
+    k = _split_heads(kv @ p[f"{prefix}.wk"], n_heads)
+    v = _split_heads(kv @ p[f"{prefix}.wv"], n_heads)
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    a = _merge_heads(softmax_rows_composed(scores) @ v) @ p[f"{prefix}.wo"]
+    return layer_norm_composed(x + a, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
+
+
 def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:
     """The Elman recurrence over [B, T, C], unrolled into per-step slice,
     matmul and tanh nodes from a zero state."""

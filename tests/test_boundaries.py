@@ -114,6 +114,20 @@ def test_flipped_manifest_label_bit_is_rejected(files, data):
     assert_dataset_rejected(files, manifest="".join(edited).encode())
 
 
+@probe
+@given(st.data())
+def test_any_edited_manifest_record_field_is_rejected(files, data):
+    lines, first = record_lines(files)
+    at = data.draw(st.integers(first, len(lines) - 1), label="record line")
+    fields = lines[at].rstrip("\n").split("\t")
+    i = data.draw(st.integers(0, len(fields) - 1), label="field")
+    new = data.draw(st.text("0123456789.,+abehilmnuv_", max_size=8)
+                    .filter(lambda v: v != fields[i]), label="value")
+    fields[i] = new
+    edited = lines[:at] + ["\t".join(fields) + "\n"] + lines[at + 1:]
+    assert_dataset_rejected(files, manifest="".join(edited).encode())
+
+
 def test_manifest_cut_inside_its_last_line_is_rejected(files):
     for cut in (1, 2):
         assert_dataset_rejected(files, manifest=files["manifest"][:-cut])

@@ -224,15 +224,27 @@ def _cut_manifest_newline(data, ckpt):
     (data / "manifest").write_bytes((data / "manifest").read_bytes()[:-1])
 
 
+def _edit_manifest_record(data, ckpt):
+    lines = (data / "manifest").read_text().splitlines(keepends=True)
+    at = lines.index("[samples]\n") + 1
+    fields = lines[at].split("\t")
+    fields[1] = "vehicle" if fields[1] != "vehicle" else "human"
+    fields[5] = str(int(fields[5]) + 7)
+    lines[at] = "\t".join(fields)
+    (data / "manifest").write_text("".join(lines))
+
+
 @pytest.mark.parametrize("damage, extra", [
     (_flip_byte, []), (_flip_byte, ["--ablate"]), (_truncate_shard, []),
     (_malform_manifest_line, []), (_truncate_checkpoint, []), (_pad_checkpoint, []),
     (_set_first_name_byte(0xFF), []), (_set_first_name_byte(ord("z")), []),
     (_flip_manifest_label_bit, []), (_cut_manifest_newline, []),
+    (_edit_manifest_record, []),
 ], ids=["flipped-shard-byte", "flipped-shard-byte-ablate", "truncated-shard",
         "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes",
         "undecodable-checkpoint-name", "unknown-checkpoint-name",
-        "flipped-manifest-label-bit", "manifest-without-final-newline"])
+        "flipped-manifest-label-bit", "manifest-without-final-newline",
+        "edited-manifest-record"])
 def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, extra):
     import shutil
     from hymad import model as M, train as T

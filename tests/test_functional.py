@@ -8,8 +8,9 @@ from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
 from hymad.tensor import Tensor
 
-from oracles import (conv1d_same_fft, conv1d_same_naive, grad_check,
-                     rnn_forward_unrolled, softmax_rows_composed)
+from oracles import (avg_pool1d, conv1d_same_fft, conv1d_same_naive, grad_check,
+                     log_pool_energy_composed, rnn_forward_unrolled,
+                     softmax_rows_composed)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -102,6 +103,33 @@ def test_attention_permutation_equivariant_in_keys():
     a = F.attention(Tensor(q), Tensor(k), Tensor(v)).data
     b = F.attention(Tensor(q), Tensor(k[perm]), Tensor(v[perm])).data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_attention_matches_composed_oracle_with_gradients():
+    rng = np.random.default_rng(5)
+    for shape_q, shape_kv in (((4, 3), (6, 3)), ((2, 3, 5, 4), (2, 3, 7, 4))):
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in (shape_q, shape_kv, shape_kv)]
+        copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+        q, k, v = copies
+        composed = softmax_rows_composed(
+            (q * (1.0 / math.sqrt(shape_q[-1]))) @ k.swapaxes(-1, -2)) @ v
+        fused = F.attention(*leaves)
+        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+        w = rng.standard_normal(fused.shape)
+        (fused * w).sum().backward()
+        (composed * w).sum().backward()
+        for got, want in zip(leaves, copies):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+def test_attention_gradient_check():
+    rng = np.random.default_rng(6)
+    leaves = [Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+              for _ in range(3)]
+    w = rng.standard_normal((2, 3, 2))
+    rep = grad_check(lambda: (F.attention(*leaves) * w).sum(), leaves)
+    assert rep["max_rel_err"] < 1e-6
 
 
 def test_attention_width_mismatch():
@@ -330,8 +358,29 @@ def test_conv_gradients_match_finite_differences():
 
 def test_avg_pool():
     x = Tensor(np.arange(8.0).reshape(1, 8))
-    out = F.avg_pool1d(x, 4).data
+    out = avg_pool1d(x, 4).data
     np.testing.assert_allclose(out, [[1.5, 5.5]])
+
+
+def test_log_pool_energy_matches_composed_oracle():
+    rng = np.random.default_rng(15)
+    y1 = Tensor(rng.standard_normal((3, 2, 24)), requires_grad=True)
+    y2 = Tensor(y1.data.copy(), requires_grad=True)
+    w = rng.standard_normal((3, 2, 6))
+    fused = F.log_pool_energy(y1, 4, 1e-6)
+    composed = log_pool_energy_composed(y2, 4, 1e-6)
+    np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+    (fused * w).sum().backward()
+    (composed * w).sum().backward()
+    np.testing.assert_allclose(y1.grad, y2.grad, rtol=0, atol=1e-12)
+
+
+def test_log_pool_energy_gradient_check():
+    rng = np.random.default_rng(16)
+    y = Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
+    w = rng.standard_normal((2, 2, 4))
+    rep = grad_check(lambda: (F.log_pool_energy(y, 3, 1e-6) * w).sum(), [y])
+    assert rep["max_rel_err"] < 1e-6
 
 
 class TestConvStrided:

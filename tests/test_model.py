@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hymad.errors import ConfigError, ShapeError
+from hymad.errors import ConfigError, NumericError, ShapeError
 from hymad import functional as F
 from hymad import model as M
 from hymad.tensor import Tensor, no_grad
 
-from oracles import grad_check, layer_norm_composed
+from oracles import attention_block_composed, grad_check, layer_norm_composed
 
 
 def tiny_cfg(**kw):
@@ -168,6 +169,99 @@ def test_cross_fuse_rejects_length_mismatch():
     p = {**_attn_params(d, 6, "cross_freq"), **_attn_params(d, 7, "cross_temp")}
     with pytest.raises(ShapeError):
         M.cross_fuse(Tensor(np.zeros((1, 4, d))), Tensor(np.zeros((1, 5, d))), p)
+
+
+def _block_case(rng, bsz, t_len, d, cross, prefix="blk"):
+    """Random block parameters with a non-trivial gain and bias, the query
+    stream and the key/value stream (the same tensor for self-attention)."""
+    p = {f"{prefix}.{n}": Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
+         for n in ("wq", "wk", "wv", "wo")}
+    p[f"{prefix}.ln_g"] = Tensor(rng.standard_normal(d), requires_grad=True)
+    p[f"{prefix}.ln_b"] = Tensor(rng.standard_normal(d), requires_grad=True)
+    x = Tensor(rng.standard_normal((bsz, t_len, d)), requires_grad=True)
+    kv = Tensor(rng.standard_normal((bsz, t_len, d)), requires_grad=True) if cross else x
+    return p, x, kv
+
+
+def _assert_block_matches_oracle(rng, bsz, t_len, d, n_heads, cross, scaled=False):
+    """Forward and all eight parent gradients within 1e-12; `scaled` takes
+    that tolerance relative to the largest entry when it exceeds 1."""
+    def close(got, want):
+        atol = 1e-12 * (max(1.0, np.abs(want).max()) if scaled else 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    p, x, kv = _block_case(rng, bsz, t_len, d, cross)
+    leaves = [x, kv, *p.values()]
+    w = rng.standard_normal((bsz, t_len, d))
+    fused = M.attention_block(x, kv, p, "blk", n_heads)
+    (fused * w).sum().backward()
+    got = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    composed = attention_block_composed(x, kv, p, "blk", n_heads)
+    (composed * w).sum().backward()
+    close(fused.data, composed.data)
+    for g, t in zip(got, leaves):
+        close(g, t.grad)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_attention_block_matches_composed_oracle(cross, n_heads):
+    # B = 17: one full batch chunk of 16 and a partial one
+    _assert_block_matches_oracle(np.random.default_rng(30 + n_heads), 17, 5, 8,
+                                 n_heads, cross)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.integers(1, 20), st.integers(1, 6),
+       st.sampled_from([(4, 1), (4, 2), (6, 3), (8, 4)]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_attention_block_matches_oracle_over_shapes(bsz, t_len, d_heads, cross, seed):
+    # d >= 4: over d = 2 a layer norm's output is +-1 whatever its input, and
+    # its backward is all rounding error; small-variance rows still give
+    # gradients in the hundreds, hence the scaled tolerance
+    d, n_heads = d_heads
+    _assert_block_matches_oracle(np.random.default_rng(seed), bsz, t_len, d,
+                                 n_heads, cross, scaled=True)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_attention_block_gradient_check(cross):
+    rng = np.random.default_rng(34)
+    p, x, kv = _block_case(rng, 2, 3, 4, cross)
+    w = rng.standard_normal((2, 3, 4))
+    leaves = [x, *p.values()] + ([kv] if cross else [])
+    rep = grad_check(lambda: (M.attention_block(x, kv, p, "blk", 2) * w).sum(), leaves)
+    assert rep["max_rel_err"] < 1e-6
+
+
+def test_attention_block_nan_input_raises():
+    p, x, kv = _block_case(np.random.default_rng(35), 2, 3, 4, cross=True)
+    kv.data[1, 2, 0] = np.nan
+    with pytest.raises(NumericError):
+        M.attention_block(x, kv, p, "blk", 1)
+
+
+def _graph_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("branches, limit", [(1, 91), (3, 134)])
+def test_training_graph_size(branches, limit):
+    # each attention block and the frontend energy are one node; a change
+    # that splits them back into primitives grows the graph past the limit
+    cfg = M.ModelConfig(branches=branches)
+    p = M.init_params(cfg, seed=0)
+    x = np.random.default_rng(36).standard_normal((2, cfg.input_len))
+    loss = F.bce_with_logits(M.forward_batch(x, cfg, p), np.eye(4)[:2])
+    assert _graph_nodes(loss) <= limit
 
 
 # -- full forward -------------------------------------------------------------

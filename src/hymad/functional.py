@@ -29,22 +29,6 @@ def _softmax_(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis.
-
-    One graph node; the backward is the closed form p * (g - sum(g * p)).
-    """
-    m = Tensor._coerce(m)
-    p = _softmax_(m.data.copy())
-
-    def back(g):
-        gp = g * p
-        gp -= p * gp.sum(axis=-1, keepdims=True)
-        return (gp,)
-
-    return Tensor._result(p, (m,), back)
-
-
 def sdpa_forward(q, k, v, p, o):
     """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
     writes p = softmax(q k^T) and o = p v into the given buffers."""
@@ -199,9 +183,13 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     -(L-1)/2 .. (L-1)/2.  Output [B, C, T/stride]:
     y[b, c, p] = sum_n x[b, pS-n] k[c, n], zero-padded at the edges.
     The full-resolution convolution is never materialised; the batch is
-    processed in chunks so the patch matrices stay small.
+    processed in chunks so the patch matrices stay small.  Only the kernels
+    get a gradient: the waveforms are data, so an `x` that requires one is
+    rejected.
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
+    if x.requires_grad:
+        raise ValueError("conv1d_strided has no gradient for its input x")
     xd, kd = x.data, kernels.data
     if xd.ndim != 2:
         raise ShapeError(f"x must be [B, T], got {x.shape}")
@@ -230,30 +218,15 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
             .reshape(b, n_out, n_filt).swapaxes(1, 2)
 
     def back(g):
-        gx = gk = None
-        need_k = kernels.requires_grad
-        gkrev = np.zeros_like(krev) if need_k else None
-        if x.requires_grad:
-            gxpad = np.zeros_like(xpad)
+        gkrev = np.zeros_like(krev)
         for i in range(0, bsz, chunk):
             gt = np.ascontiguousarray(g[i:i + chunk].swapaxes(1, 2))
             b = gt.shape[0]
-            flat = gt.reshape(b * n_out, n_filt)
-            if need_k:
-                pc = _patches(xpad[i:i + chunk])
-                gkrev += flat.T @ pc.reshape(b * n_out, l_len)
-            if x.requires_grad:
-                gp = (flat @ krev).reshape(b, n_out, l_len)
-                for p in range(n_out):
-                    gxpad[i:i + chunk, p * stride:p * stride + l_len] += \
-                        gp[:, p, :]
-        if x.requires_grad:
-            gx = gxpad[:, half:half + t_len]
-        if need_k:
-            gk = gkrev[:, ::-1]
-        return (gx, gk)
+            pc = _patches(xpad[i:i + chunk]).reshape(b * n_out, l_len)
+            gkrev += gt.reshape(b * n_out, n_filt).T @ pc
+        return (gkrev[:, ::-1],)
 
-    return Tensor._result(out, (x, kernels), back)
+    return Tensor._result(out, (kernels,), back)
 
 
 def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:

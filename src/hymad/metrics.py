@@ -29,14 +29,17 @@ def hamming_accuracy(pred, truth) -> float:
     return float(1.0 - np.mean(pred != truth))
 
 
-def macro_prf1(pred, truth) -> tuple[float, float, float]:
-    """Macro-averaged precision/recall/F1; zero-division yields 0 per label."""
-    pred, truth = _check_pair(pred, truth)
+def _confusions(pred: np.ndarray, truth: np.ndarray) -> list[tuple]:
+    """Per-label (tp, fp, fn, tn) counts of checked 0/1 arrays."""
+    cells = [((pred == p) & (truth == t)).sum(axis=0)
+             for p, t in ((1, 1), (1, 0), (0, 1), (0, 0))]
+    return [tuple(int(c[j]) for c in cells) for j in range(truth.shape[1])]
+
+
+def _macro(counts) -> tuple[float, float, float]:
+    """Macro-averaged precision/recall/F1 of per-label confusion counts."""
     ps, rs, fs = [], [], []
-    for j in range(truth.shape[1]):
-        tp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 1)))
-        fp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 0)))
-        fn = int(np.sum((pred[:, j] == 0) & (truth[:, j] == 1)))
+    for tp, fp, fn, _ in counts:
         p = tp / (tp + fp) if tp + fp else 0.0
         r = tp / (tp + fn) if tp + fn else 0.0
         f = 2 * p * r / (p + r) if p + r else 0.0
@@ -44,6 +47,11 @@ def macro_prf1(pred, truth) -> tuple[float, float, float]:
         rs.append(r)
         fs.append(f)
     return float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))
+
+
+def macro_prf1(pred, truth) -> tuple[float, float, float]:
+    """Macro-averaged precision/recall/F1; zero-division yields 0 per label."""
+    return _macro(_confusions(*_check_pair(pred, truth)))
 
 
 def _rankdata(a: np.ndarray) -> np.ndarray:
@@ -166,16 +174,13 @@ def compute_report(pred, truth, scores=None) -> MetricsReport:
     pred, truth = _check_pair(pred, truth)
     if scores is None:
         scores = pred.astype(np.float64)
-    p, r, f = macro_prf1(pred, truth)
+    counts = _confusions(pred, truth)
+    p, r, f = _macro(counts)
     per_label = []
-    for j in range(truth.shape[1]):
+    for j, (tp, fp, fn, tn) in enumerate(counts):
         auc_j = label_auroc(np.asarray(scores)[:, j], truth[:, j])
         per_label.append({
-            "label": j,
-            "tp": int(np.sum((pred[:, j] == 1) & (truth[:, j] == 1))),
-            "fp": int(np.sum((pred[:, j] == 1) & (truth[:, j] == 0))),
-            "fn": int(np.sum((pred[:, j] == 0) & (truth[:, j] == 1))),
-            "tn": int(np.sum((pred[:, j] == 0) & (truth[:, j] == 0))),
+            "label": j, "tp": tp, "fp": fp, "fn": fn, "tn": tn,
             "auroc": "n/a" if auc_j is None else f"{auc_j:.6f}",
         })
     return MetricsReport(

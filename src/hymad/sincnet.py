@@ -3,7 +3,8 @@
 Each filter is the difference of two low-pass sinc kernels whose cutoff
 frequencies are reparameterized from unconstrained learnable scalars, so any
 optimizer step keeps 0 <= f1 < f2 <= fs/2.  Kernels use a centered symmetric
-index range -(L-1)/2 .. (L-1)/2, giving zero-phase band-pass responses.
+index range -(L-1)/2 .. (L-1)/2, giving zero-phase band-pass responses.  A
+bank's kernels are one graph node over its two theta vectors.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ MIN_BAND_HZ = 1.0
 
 
 def constrain_cutoffs(theta1, theta2, fs: float,
-                      min_band: float = MIN_BAND_HZ) -> tuple[Tensor, Tensor]:
+                      min_band: float = MIN_BAND_HZ) -> tuple[np.ndarray, np.ndarray]:
     """Map raw parameters to ordered cutoffs in Hz.
 
     f1 = |theta1| and f2 = f1 + min_band + |theta2|, clamped into [0, fs/2]
-    so that f1 < f2 always holds.  Total and differentiable.
+    so that f1 < f2 always holds.  Total for any real thetas.
     """
-    t1, t2 = Tensor._coerce(theta1), Tensor._coerce(theta2)
-    f1 = t1.abs().clip(0.0, fs / 2.0 - min_band)
-    f2 = (f1 + min_band + t2.abs()).clip(None, fs / 2.0)
+    f1 = np.clip(np.abs(theta1), 0.0, fs / 2.0 - min_band)
+    f2 = np.clip(f1 + min_band + np.abs(theta2), None, fs / 2.0)
     return f1, f2
 
 
@@ -34,46 +34,71 @@ def hamming_window(l_len: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * m / (l_len - 1))
 
 
-def _lowpass_rows(g: Tensor, l_len: int) -> Tensor:
-    """Rows of low-pass sinc kernels 2g*sinc(2*pi*g*n) for normalized cutoffs g.
-
-    With sinc(x) = sin(x)/x this is sin(2*pi*g*n)/(pi*n) off-center and 2g at
-    n = 0; d/dg is 2*cos(2*pi*g*n) everywhere, which the backward uses.
-    """
+def _phase(f: np.ndarray, l_len: int, fs: float) -> tuple:
+    """Normalized cutoffs g = f/fs as a column, the centered lags n, and the
+    phases 2*pi*g*n, one row per cutoff."""
     half = (l_len - 1) // 2
     n = np.arange(-half, half + 1, dtype=np.float64)
-    gd = g.data[:, None]
-    arg = 2.0 * np.pi * gd * n
+    g = (f * (1.0 / fs))[:, None]
+    return g, n, 2.0 * np.pi * g * n
+
+
+def _lowpass_rows(f: np.ndarray, l_len: int, fs: float) -> np.ndarray:
+    """Rows of low-pass sinc kernels 2g*sinc(2*pi*g*n) for cutoffs f in Hz.
+
+    With sinc(x) = sin(x)/x this is sin(2*pi*g*n)/(pi*n) off-center and 2g at
+    n = 0; d/dg is 2*cos(2*pi*g*n) everywhere.
+    """
+    g, n, arg = _phase(f, l_len, fs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = np.where(n == 0.0, 2.0 * gd, np.sin(arg) / (np.pi * n))
-
-    def back(grad):
-        return ((grad * 2.0 * np.cos(arg)).sum(axis=1),)
-
-    return Tensor._result(rows, (g,), back)
+        return np.where(n == 0.0, 2.0 * g, np.sin(arg) / (np.pi * n))
 
 
 def build_filter(f1, f2, l_len: int, fs: float = 8000.0,
-                 window: str = "hamming") -> Tensor:
-    """Band-pass kernels [C, L] for [C] cutoff vectors; differentiable w.r.t. f1, f2."""
-    f1, f2 = Tensor._coerce(f1), Tensor._coerce(f2)
+                 window: str = "hamming") -> np.ndarray:
+    """Band-pass kernels [C, L] for [C] cutoff vectors in Hz."""
+    f1, f2 = np.asarray(f1, dtype=np.float64), np.asarray(f2, dtype=np.float64)
     if l_len % 2 != 1:
         raise ConfigError(f"kernel length must be odd, got {l_len}")
-    if np.any(f1.data < 0) or np.any(f1.data > f2.data) or np.any(f2.data > fs / 2.0):
+    if np.any(f1 < 0) or np.any(f1 > f2) or np.any(f2 > fs / 2.0):
         raise ConfigError("cutoffs must satisfy 0 <= f1 <= f2 <= fs/2")
-    kernels = _lowpass_rows(f2 * (1.0 / fs), l_len) - _lowpass_rows(f1 * (1.0 / fs), l_len)
-    if window == "hamming":
-        kernels = kernels * hamming_window(l_len)
-    elif window != "none":
+    if window not in ("hamming", "none"):
         raise ConfigError(f"unknown window {window!r}")
+    kernels = _lowpass_rows(f2, l_len, fs) - _lowpass_rows(f1, l_len, fs)
+    if window == "hamming":
+        kernels *= hamming_window(l_len)
     return kernels
 
 
-def bank_kernels(theta1, theta2, l_len: int, fs: float = 8000.0,
+def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int, fs: float = 8000.0,
                  window: str = "hamming") -> Tensor:
-    """All C kernels [C, L] of a bank's raw [C] thetas, differentiable back to them."""
-    f1, f2 = constrain_cutoffs(theta1, theta2, fs)
-    return build_filter(f1, f2, l_len, fs, window)
+    """All C kernels [C, L] of a bank's raw [C] thetas, as one node.
+
+    The backward is closed-form: each lowpass row has d/dg = 2*cos(2*pi*g*n)
+    with g = f/fs, f2 depends on f1 through f2 = f1 + min_band + |theta2|,
+    each clamp of `constrain_cutoffs` passes gradient only strictly inside
+    its bounds, and |theta| contributes sign(theta), which is 0 at 0.
+    """
+    theta1, theta2 = Tensor._coerce(theta1), Tensor._coerce(theta2)
+    f1, f2 = constrain_cutoffs(theta1.data, theta2.data, fs)
+    kernels = build_filter(f1, f2, l_len, fs, window)
+
+    def back(g):
+        if window == "hamming":
+            g = g * hamming_window(l_len)
+
+        def d_cutoff(g_rows, f):
+            arg = _phase(f, l_len, fs)[2]
+            return (g_rows * 2.0 * np.cos(arg)).sum(axis=1) * (1.0 / fs)
+
+        g2 = d_cutoff(g, f2)
+        g2 *= f2 < fs / 2.0
+        g1 = d_cutoff(-g, f1)
+        g1 += g2
+        g1 *= (f1 > 0.0) & (f1 < fs / 2.0 - MIN_BAND_HZ)
+        return (g1 * np.sign(theta1.data), g2 * np.sign(theta2.data))
+
+    return Tensor._result(kernels, (theta1, theta2), back)
 
 
 def init_filterbank(n_filters: int, fs: float = 8000.0,

@@ -8,6 +8,13 @@ as it has been propagated to the node's parents.  Leaf gradients persist
 across backward calls until explicitly zeroed, which is what the optimizer
 relies on.  A gradient array handed out by `backward()` is never written to
 afterwards, so a caller may hold on to it.
+
+The primitives are the ones the detector's graph needs between its fused
+nodes: `+`, `@`, `relu`, `mean`, `reshape`, `swapaxes` and `concat`, plus
+`*` and `sum` for building scalar roots.  Each fused layer makes its own node
+with `Tensor._result` and a closed-form backward; the primitives only the
+test oracles compose (negation, division, powers, exp, log, tanh, clamps,
+slicing) live with those oracles.
 """
 
 from __future__ import annotations
@@ -77,10 +84,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def ndim(self):
         return self.data.ndim
 
@@ -146,17 +149,6 @@ class Tensor:
             a.data + b.data, (a, b),
             lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor._result(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
-
     def __mul__(self, other):
         a, b = self, Tensor._coerce(other)
         return Tensor._result(
@@ -164,65 +156,11 @@ class Tensor:
             lambda g: (_unbroadcast(g * b.data, a.shape),
                        _unbroadcast(g * a.data, b.shape)))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, Tensor._coerce(other)
-        return Tensor._result(
-            a.data / b.data, (a, b),
-            lambda g: (_unbroadcast(g / b.data, a.shape),
-                       _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        a = self
-        return Tensor._result(
-            a.data ** p, (a,),
-            lambda g: (g * p * a.data ** (p - 1),))
-
-    def abs(self):
-        a = self
-        return Tensor._result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor._result(out_data, (a,), lambda g: (g * out_data,))
-
-    def log(self):
-        a = self
-        return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-        return Tensor._result(out_data, (a,), lambda g: (g * 0.5 / out_data,))
-
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-        return Tensor._result(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
     def relu(self):
         a = self
         return Tensor._result(
             np.maximum(a.data, 0.0), (a,),
             lambda g: (g * (a.data > 0.0),))
-
-    def clip(self, lo: float | None, hi: float | None):
-        """Clamp to [lo, hi]; gradient passes only through unclamped entries."""
-        a = self
-        out_data = np.clip(a.data, lo, hi)
-        inside = np.ones_like(a.data)
-        if lo is not None:
-            inside = inside * (a.data > lo)
-        if hi is not None:
-            inside = inside * (a.data < hi)
-        return Tensor._result(out_data, (a,), lambda g: (g * inside,))
 
     # -- reductions -----------------------------------------------------------
 
@@ -238,11 +176,15 @@ class Tensor:
         return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        a = self
+        scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+
+        def back(g):
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            return (np.broadcast_to(gg * scale, a.shape).copy(),)
+
+        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims) * scale,
+                              (a,), back)
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -256,20 +198,6 @@ class Tensor:
         return Tensor._result(
             np.swapaxes(a.data, ax1, ax2), (a,),
             lambda g: (np.swapaxes(g, ax1, ax2),))
-
-    @property
-    def T(self):
-        return self.swapaxes(-1, -2)
-
-    def __getitem__(self, idx):
-        a = self
-
-        def back(g):
-            full = np.zeros_like(a.data)
-            full[idx] += g
-            return (full,)
-
-        return Tensor._result(a.data[idx], (a,), back)
 
     # -- matrix product -------------------------------------------------------
 

@@ -137,9 +137,18 @@ def predict_scores(x: np.ndarray, cfg: M.ModelConfig, params: dict,
     return np.concatenate(out, axis=0)
 
 
+def _threshold(cfg: M.ModelConfig, threshold: float | None) -> float:
+    """The decision threshold, `cfg.threshold` unless one is given; only
+    (0, 1) is accepted, as for `ModelConfig.threshold`."""
+    thr = cfg.threshold if threshold is None else threshold
+    if not 0.0 < thr < 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1), got {thr!r}")
+    return thr
+
+
 def evaluate_arrays(x: np.ndarray, y: np.ndarray, cfg: M.ModelConfig,
                     params: dict, threshold: float | None = None) -> tuple:
-    thr = cfg.threshold if threshold is None else threshold
+    thr = _threshold(cfg, threshold)
     scores = predict_scores(x, cfg, params)
     pred = decide(scores, thr)
     return compute_report(pred, y, scores), scores, pred
@@ -152,9 +161,8 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        thr = cfg.threshold if threshold is None else threshold
-        (out / f"report_{split}.txt").write_text(
-            report.format(f"split = {split}\nthreshold = {thr!r}"))
+        (out / f"report_{split}.txt").write_text(report.format(
+            f"split = {split}\nthreshold = {_threshold(cfg, threshold)!r}"))
         write_curves_csv(out / f"roc_{split}.csv", scores, y, "roc")
         write_curves_csv(out / f"pr_{split}.csv", scores, y, "pr")
     return report

@@ -3,7 +3,9 @@
 Each oracle is the plain composition (or loop) that a fused op replaced, or an
 independent algorithm for the same result (the FFT convolution), kept here so
 that the fast forward and closed-form backward are checked against a separate
-derivation.  `grad_check` compares any analytic gradient with central
+derivation.  The elementwise, slicing and transposing primitives those
+compositions need, and that the package itself no longer calls, are free
+functions here.  `grad_check` compares any analytic gradient with central
 finite differences.
 """
 
@@ -14,9 +16,87 @@ from typing import Callable
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.functional import RnnParams
-from hymad.tensor import Tensor, concat, no_grad
+from hymad.functional import RnnParams, _softmax_
+from hymad.sincnet import MIN_BAND_HZ, hamming_window
+from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
 
+
+# -- primitives ----------------------------------------------------------------
+
+def _unary(a, out, back) -> Tensor:
+    """A node with the one parent `a`, output `out` and input gradient back(g)."""
+    return Tensor._result(out, (a,), lambda g: (back(g),))
+
+
+def neg(a: Tensor) -> Tensor:
+    return _unary(a, -a.data, lambda g: -g)
+
+
+def sub(a, b) -> Tensor:
+    return Tensor._coerce(a) + neg(Tensor._coerce(b))
+
+
+def div(a, b) -> Tensor:
+    a, b = Tensor._coerce(a), Tensor._coerce(b)
+    return Tensor._result(
+        a.data / b.data, (a, b),
+        lambda g: (_unbroadcast(g / b.data, a.shape),
+                   _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    return _unary(a, a.data ** p, lambda g: g * p * a.data ** (p - 1))
+
+
+def absolute(a: Tensor) -> Tensor:
+    return _unary(a, np.abs(a.data), lambda g: g * np.sign(a.data))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _unary(a, out, lambda g: g * out)
+
+
+def log(a: Tensor) -> Tensor:
+    return _unary(a, np.log(a.data), lambda g: g / a.data)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out = np.sqrt(a.data)
+    return _unary(a, out, lambda g: g * 0.5 / out)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return _unary(a, out, lambda g: g * (1.0 - out * out))
+
+
+def clip(a: Tensor, lo: float | None, hi: float | None) -> Tensor:
+    """Clamp to [lo, hi]; gradient passes only through unclamped entries."""
+    inside = np.ones_like(a.data)
+    if lo is not None:
+        inside = inside * (a.data > lo)
+    if hi is not None:
+        inside = inside * (a.data < hi)
+    return _unary(a, np.clip(a.data, lo, hi), lambda g: g * inside)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the two trailing axes."""
+    return a.swapaxes(-1, -2)
+
+
+def index(a: Tensor, idx) -> Tensor:
+    """a[idx]; the backward scatters the gradient into zeros of a's shape."""
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[idx] += g
+        return full
+
+    return _unary(a, a.data[idx], back)
+
+
+# -- composed oracles ---------------------------------------------------------
 
 def conv1d_same_naive(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Double-loop same-padded convolution of one signal [T] with kernels [C, L];
@@ -85,19 +165,31 @@ def conv1d_same_fft(x: Tensor, kernels: Tensor) -> Tensor:
     return Tensor._result(out, (x, kernels), back)
 
 
+def softmax_rows(m: Tensor) -> Tensor:
+    """Row-wise softmax over the last axis as one node: the package's
+    `_softmax_` forward and the closed-form backward p * (g - sum(g * p))."""
+    p = _softmax_(m.data.copy())
+
+    def back(g):
+        gp = g * p
+        gp -= p * gp.sum(axis=-1, keepdims=True)
+        return gp
+
+    return _unary(m, p, back)
+
+
 def softmax_rows_composed(m: Tensor) -> Tensor:
     """Row-wise softmax built from primitive nodes (shift, exp, sum, divide)."""
-    shifted = m - m.data.max(axis=-1, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    e = exp(sub(m, m.data.max(axis=-1, keepdims=True)))
+    return div(e, e.sum(axis=-1, keepdims=True))
 
 
 def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor,
                         eps: float = 1e-6) -> Tensor:
     """Layer normalization over the last axis, built from primitive nodes."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / (var + eps).sqrt() * gain + bias
+    var = power(sub(x, mu), 2).mean(axis=-1, keepdims=True)
+    return div(sub(x, mu), sqrt(var + eps)) * gain + bias
 
 
 def avg_pool1d(x: Tensor, stride: int) -> Tensor:
@@ -110,7 +202,7 @@ def avg_pool1d(x: Tensor, stride: int) -> Tensor:
 
 def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
     """The frontend's pooled log energy as product, pool, shift and log nodes."""
-    return (avg_pool1d(y * y, pool) + eps).log()
+    return log(avg_pool1d(y * y, pool) + eps)
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -142,12 +234,44 @@ def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:
     if p.w_x.shape[1] != c_in:
         raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
     h = Tensor(np.zeros((bsz, p.hidden)))
-    wht, wxt = p.w_h.T, p.w_x.T
+    wht, wxt = transpose(p.w_h), transpose(p.w_x)
     states = []
     for t in range(steps):
-        h = (h @ wht + f[:, t, :] @ wxt + p.b).tanh()
+        h = tanh(h @ wht + index(f, np.s_[:, t, :]) @ wxt + p.b)
         states.append(h.reshape(bsz, 1, p.hidden))
     return concat(states, axis=1)
+
+
+def lowpass_rows(g: Tensor, l_len: int) -> Tensor:
+    """Rows of low-pass sinc kernels 2g*sinc(2*pi*g*n) for normalized cutoffs
+    g, one node whose backward is d/dg = 2*cos(2*pi*g*n)."""
+    half = (l_len - 1) // 2
+    n = np.arange(-half, half + 1, dtype=np.float64)
+    gd = g.data[:, None]
+    arg = 2.0 * np.pi * gd * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.where(n == 0.0, 2.0 * gd, np.sin(arg) / (np.pi * n))
+    return _unary(g, rows, lambda grad: (grad * 2.0 * np.cos(arg)).sum(axis=1))
+
+
+def constrain_cutoffs_composed(theta1: Tensor, theta2: Tensor,
+                               fs: float) -> tuple[Tensor, Tensor]:
+    """f1 = |theta1| and f2 = f1 + MIN_BAND_HZ + |theta2|, clamped into
+    [0, fs/2], from abs, clip and add nodes."""
+    f1 = clip(absolute(theta1), 0.0, fs / 2.0 - MIN_BAND_HZ)
+    f2 = clip(f1 + MIN_BAND_HZ + absolute(theta2), None, fs / 2.0)
+    return f1, f2
+
+
+def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int, fs: float,
+                          window: str) -> Tensor:
+    """Band-pass kernels as the difference of two lowpass-row nodes of the
+    normalized cutoffs, times the window."""
+    kernels = sub(lowpass_rows(f2 * (1.0 / fs), l_len),
+                  lowpass_rows(f1 * (1.0 / fs), l_len))
+    if window == "hamming":
+        kernels = kernels * hamming_window(l_len)
+    return kernels
 
 
 def grad_check(f: Callable[[], Tensor], params: list[Tensor],

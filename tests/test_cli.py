@@ -112,6 +112,24 @@ def test_checkpoint_config_mismatch_is_compat_error(workspace, tmp_path, capsys)
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "0.0"])
+def test_evaluate_threshold_outside_unit_interval_is_config_error(
+        workspace, tmp_path, capsys, threshold):
+    from hymad import model as M, train as T
+    root, cfg = workspace
+    ckpt = tmp_path / "m.ckpt"
+    model_cfg = load_config(cfg)[1]
+    T.save_checkpoint(ckpt, model_cfg, M.init_params(model_cfg, seed=0))
+    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--dataset", str(root / "data"), "--out", str(tmp_path / "e"),
+                   "--threshold", threshold])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "threshold" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "e" / "report_test.txt").exists()
+
+
 def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
     root, _ = workspace
     bad = tmp_path / "bad.ini"

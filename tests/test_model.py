@@ -253,11 +253,13 @@ def _graph_nodes(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("branches, limit", [(1, 91), (3, 134)])
-def test_training_graph_size(branches, limit):
-    # each attention block and the frontend energy are one node; a change
-    # that splits them back into primitives grows the graph past the limit
-    cfg = M.ModelConfig(branches=branches)
+@pytest.mark.parametrize("overrides, limit", [
+    ({}, 72), ({"branches": 3}, 83), ({"fusion_mode": "concat"}, 58),
+], ids=["default-72", "branches3-83", "concat-58"])
+def test_training_graph_size(overrides, limit):
+    # each sinc bank, attention block and the frontend energy is one node; a
+    # change that splits one back into primitives grows the graph past the limit
+    cfg = M.ModelConfig(**overrides)
     p = M.init_params(cfg, seed=0)
     x = np.random.default_rng(36).standard_normal((2, cfg.input_len))
     loss = F.bce_with_logits(M.forward_batch(x, cfg, p), np.eye(4)[:2])

@@ -7,14 +7,20 @@ from hymad.sincnet import (MIN_BAND_HZ, bank_kernels, build_filter,
                            constrain_cutoffs, init_filterbank)
 from hymad.tensor import Tensor
 
-from oracles import conv1d_same_naive, grad_check
+from oracles import (build_filter_composed, constrain_cutoffs_composed,
+                     conv1d_same_naive, grad_check)
 
 FS = 8000.0
 
 
 def _cutoffs(t1, t2):
-    f1, f2 = constrain_cutoffs(Tensor(np.array([t1])), Tensor(np.array([t2])), FS)
-    return float(f1.data[0]), float(f2.data[0])
+    f1, f2 = constrain_cutoffs(np.array([t1]), np.array([t2]), FS)
+    return float(f1[0]), float(f2[0])
+
+
+def _init_cutoffs(n_filters, strategy):
+    theta1, theta2 = init_filterbank(n_filters, FS, strategy)
+    return constrain_cutoffs(theta1.data, theta2.data, FS)
 
 
 def test_constrain_zero_thetas():
@@ -34,34 +40,34 @@ def test_constrain_mapping_example():
 
 def test_constraint_holds_for_arbitrary_thetas():
     rng = np.random.default_rng(0)
-    t1 = Tensor(rng.uniform(-1e5, 1e5, 100))
-    t2 = Tensor(rng.uniform(-1e5, 1e5, 100))
+    t1 = rng.uniform(-1e5, 1e5, 100)
+    t2 = rng.uniform(-1e5, 1e5, 100)
     f1, f2 = constrain_cutoffs(t1, t2, FS)
-    assert np.all(f1.data >= 0.0)
-    assert np.all(f1.data < f2.data)
-    assert np.all(f2.data <= FS / 2.0)
+    assert np.all(f1 >= 0.0)
+    assert np.all(f1 < f2)
+    assert np.all(f2 <= FS / 2.0)
 
 
 def test_kernel_center_tap():
     f1, f2 = 50.0, 150.0
-    k = build_filter(Tensor([f1]), Tensor([f2]), 251, FS, window="hamming").data[0]
+    k = build_filter([f1], [f2], 251, FS, window="hamming")[0]
     # center tap is 2*(g2-g1) times the window value there
     w_center = 0.54 - 0.46 * np.cos(2 * np.pi * 125 / 250)
     assert k[125] == pytest.approx(2.0 * (f2 - f1) / FS * w_center, rel=1e-12)
 
 
 def test_equal_cutoffs_zero_kernel():
-    k = build_filter(Tensor([200.0]), Tensor([200.0]), 65, FS, window="none").data
+    k = build_filter([200.0], [200.0], 65, FS, window="none")
     np.testing.assert_allclose(k, np.zeros((1, 65)), atol=1e-15)
 
 
 def test_kernel_even_symmetry():
-    k = build_filter(Tensor([50.0]), Tensor([150.0]), 251, FS, window="hamming").data
+    k = build_filter([50.0], [150.0], 251, FS, window="hamming")
     np.testing.assert_allclose(k, k[:, ::-1], atol=1e-12)
 
 
 def test_fft_passband_vs_stopband_ratio():
-    k = build_filter(Tensor([50.0]), Tensor([150.0]), 251, FS, window="hamming").data[0]
+    k = build_filter([50.0], [150.0], 251, FS, window="hamming")[0]
     nfft = 8192
     mag = np.abs(np.fft.rfft(k, nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / FS)
@@ -73,7 +79,7 @@ def test_fft_passband_vs_stopband_ratio():
 
 def test_build_filter_rejects_bad_cutoffs():
     with pytest.raises(ConfigError):
-        build_filter(Tensor([300.0]), Tensor([200.0]), 65, FS)
+        build_filter([300.0], [200.0], 65, FS)
 
 
 def test_conv_forward_matches_naive_oracle():
@@ -92,22 +98,22 @@ def test_conv_forward_zero_input():
 
 
 def test_init_linear_bands():
-    f1, f2 = constrain_cutoffs(*init_filterbank(4, FS, "linear"), FS)
-    np.testing.assert_allclose(f1.data, [0, 1000, 2000, 3000], atol=1e-9)
-    np.testing.assert_allclose(f2.data, [1000, 2000, 3000, 4000], atol=1e-9)
+    f1, f2 = _init_cutoffs(4, "linear")
+    np.testing.assert_allclose(f1, [0, 1000, 2000, 3000], atol=1e-9)
+    np.testing.assert_allclose(f2, [1000, 2000, 3000, 4000], atol=1e-9)
 
 
 def test_init_single_filter_full_band():
-    f1, f2 = constrain_cutoffs(*init_filterbank(1, FS, "linear"), FS)
-    assert float(f1.data[0]) == pytest.approx(0.0, abs=1e-9)
-    assert float(f2.data[0]) == pytest.approx(FS / 2.0, abs=1e-9)
+    f1, f2 = _init_cutoffs(1, "linear")
+    assert float(f1[0]) == pytest.approx(0.0, abs=1e-9)
+    assert float(f2[0]) == pytest.approx(FS / 2.0, abs=1e-9)
 
 
 def test_init_low_band_roundtrip():
-    f1, f2 = constrain_cutoffs(*init_filterbank(8, FS, "low-band"), FS)
+    f1, f2 = _init_cutoffs(8, "low-band")
     edges = np.linspace(0.0, FS / 8.0, 9)
-    np.testing.assert_allclose(f1.data, edges[:-1], atol=1e-9)
-    np.testing.assert_allclose(f2.data, edges[1:], atol=1e-9)
+    np.testing.assert_allclose(f1, edges[:-1], atol=1e-9)
+    np.testing.assert_allclose(f2, edges[1:], atol=1e-9)
 
 
 def test_init_rejects_zero_filters():
@@ -127,3 +133,34 @@ def test_cutoff_gradients_match_finite_differences():
         lambda: (conv1d_strided(x, bank_kernels(theta1, theta2, 17, FS), 1) * w).sum(),
         [theta1, theta2])
     assert rep["max_rel_err"] <= 1e-4
+
+
+# theta1: 0, negative, f1 exactly at and past its fs/2 - 1 clamp; theta2: 0,
+# negative, f2 exactly at and past its fs/2 clamp
+EDGE_THETAS = (np.array([0.0, -37.5, 120.0, 3999.0, 5e3, 250.0, 800.0, 1e3]),
+               np.array([40.0, 0.0, -15.0, 3.0, 7.0, 3749.0, 9e3, -2.5]))
+
+
+@pytest.mark.parametrize("window", ["hamming", "none"])
+@pytest.mark.parametrize("l_len", [3, 129, 251])
+def test_bank_kernels_bit_identical_to_composed_oracle(l_len, window):
+    fused_leaves = [Tensor(t.copy(), requires_grad=True) for t in EDGE_THETAS]
+    comp_leaves = [Tensor(t.copy(), requires_grad=True) for t in EDGE_THETAS]
+    fused = bank_kernels(*fused_leaves, l_len, FS, window)
+    composed = build_filter_composed(
+        *constrain_cutoffs_composed(*comp_leaves, FS), l_len, FS, window)
+    assert fused._parents == tuple(fused_leaves)
+    assert fused.data.tobytes() == composed.data.tobytes()
+    w = np.random.default_rng(l_len).standard_normal(fused.shape)
+    (fused * w).sum().backward()
+    (composed * w).sum().backward()
+    for got, want in zip(fused_leaves, comp_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+    # sign(0) and the strict clamp masks stop the gradient
+    assert fused_leaves[0].grad[[0, 3, 4]].tolist() == [0.0, 0.0, 0.0]
+    assert fused_leaves[1].grad[[1, 5, 6]].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_bank_kernels_unknown_window_rejected():
+    with pytest.raises(ConfigError):
+        bank_kernels(*EDGE_THETAS, 17, FS, "hann")

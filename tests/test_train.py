@@ -99,9 +99,12 @@ def test_threshold_one_yields_zero_recall(tiny_data):
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
     x, y, _ = tiny_data.arrays("test")
-    report, _, pred = T.evaluate_arrays(x, y, cfg, params, threshold=1.0)
-    # nothing clears a threshold of 1, so every prediction falls back to
-    # the no-event bit
+    # 1.0 itself lies outside (0, 1); nothing clears the largest threshold
+    # below it, so every prediction falls back to the no-event bit
+    with pytest.raises(ConfigError):
+        T.evaluate_arrays(x, y, cfg, params, threshold=1.0)
+    report, _, pred = T.evaluate_arrays(x, y, cfg, params,
+                                        threshold=np.nextafter(1.0, 0.0))
     assert pred[:, :3].sum() == 0
     assert pred[:, 3].all()
 

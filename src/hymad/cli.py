@@ -93,13 +93,14 @@ def cmd_evaluate(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     params = T.load_checkpoint(args.checkpoint, model_cfg)
-    report = T.evaluate(dataset, args.split, params, model_cfg,
-                        threshold=args.threshold, out_dir=out)
+    T.evaluate(dataset, args.split, params, model_cfg,
+               threshold=args.threshold, out_dir=out)
     _write_run_manifest(out, "evaluate", model_cfg.digest(),
                         datagen.manifest_digest(data_dir),
                         [f"report_{args.split}.txt", f"roc_{args.split}.csv",
                          f"pr_{args.split}.csv"])
-    print(report.format(f"split = {args.split}"), end="")
+    # the terminal gets the report file as written, threshold included
+    print((out / f"report_{args.split}.txt").read_text(), end="")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Differentiable building blocks composed from the tensor primitives.
+"""Differentiable layers, each one graph node with a closed-form backward.
 
 The layers take batches: waveforms [B, T] and sequences [B, T, d].
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.tensor import Tensor
+from hymad.tensor import Tensor, _unbroadcast
 
 
 BATCH_CHUNK = 16   # batch rows per block of the chunked kernels
@@ -141,13 +141,32 @@ def rnn_forward(f: Tensor, p: RnnParams) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:
-    """Affine layer act(x W + b) with act in {relu, linear}."""
-    z = Tensor._coerce(x) @ w + b
+    """Affine layer act(x W + b) with act in {relu, linear}, one node over
+    x [..., d_in] and w [d_in, d_out]; `b` broadcasts against the output, so a
+    [T, d_out] bias adds per position.  The product is one 2-D GEMM, and the
+    relu backward takes its mask from the node's output."""
+    if act not in ("relu", "linear"):
+        raise ValueError(f"unknown activation {act!r}")
+    x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(
+            f"dense needs [..., d] @ [d, n], got {x.shape} @ {w.shape}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = (x2 @ w.data).reshape(*x.shape[:-1], w.shape[1])
+    out += b.data
     if act == "relu":
-        return z.relu()
-    if act == "linear":
-        return z
-    raise ValueError(f"unknown activation {act!r}")
+        np.maximum(out, 0.0, out=out)
+
+    def back(g):
+        if act == "relu":
+            g = g * (out > 0.0)
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return (gx, gw, gb)
+
+    return Tensor._result(out, (x, w, b), back)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

@@ -118,12 +118,6 @@ def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
     return p
 
 
-def add_positional(e: Tensor) -> Tensor:
-    """E + P over the two trailing axes [T, d_model]."""
-    e = Tensor._coerce(e)
-    return e + positional_encoding(e.shape[-2], e.shape[-1])
-
-
 def _normalize_(z: np.ndarray, eps: float) -> np.ndarray:
     """Centre the last axis of `z` and scale it to unit variance, in place;
     returns 1 / sqrt(var + eps)."""
@@ -340,16 +334,20 @@ def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:
         raise ConfigError(
             f"input must be [B, {cfg.input_len}], got {tuple(x.shape)}")
     feats = frontend_features(x, cfg, params)
+    # each stream's projection bias carries the positional encoding
+    positions = positional_encoding(feats.shape[1], cfg.d_model)
 
     streams = []
     if cfg.fusion_mode != "temp_only":
-        e_freq = add_positional(feats @ params["proj_freq.w"] + params["proj_freq.b"])
+        e_freq = F.dense(feats, params["proj_freq.w"],
+                         params["proj_freq.b"] + positions)
         a_freq = self_attention_block(e_freq, params, "self_freq", cfg.n_heads)
         streams.append(a_freq)
     if cfg.fusion_mode != "freq_only":
         rnn = RnnParams(params["rnn.w_h"], params["rnn.w_x"], params["rnn.b"])
         h_seq = F.rnn_forward(feats, rnn)
-        e_temp = add_positional(h_seq @ params["proj_temp.w"] + params["proj_temp.b"])
+        e_temp = F.dense(h_seq, params["proj_temp.w"],
+                         params["proj_temp.b"] + positions)
         a_temp = self_attention_block(e_temp, params, "self_temp", cfg.n_heads)
         streams.append(a_temp)
 

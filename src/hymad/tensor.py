@@ -2,19 +2,21 @@
 
 Tensors form an acyclic computation graph; calling `backward()` on a scalar
 root accumulates gradients additively into every ancestor that requires
-them.  Only leaves (tensors without parents, such as parameters) keep their
-`.grad` after `backward()`; an intermediate node's gradient is freed as soon
-as it has been propagated to the node's parents.  Leaf gradients persist
-across backward calls until explicitly zeroed, which is what the optimizer
-relies on.  A gradient array handed out by `backward()` is never written to
-afterwards, so a caller may hold on to it.
+them.  Backward consumes the graph: each interior node drops its closure
+and its parents as it is reached, so the arrays the closure saved are freed
+once its gradient has passed on, and its own gradient is freed too.  Only
+leaves (tensors without parents, such as parameters) keep `.grad`, which
+accumulates across graphs until zeroed, as the optimizer relies on; a second
+backward through a consumed graph raises `RuntimeError`.  A gradient array
+handed out by `backward()` is never written to afterwards, so a caller may
+hold on to it.
 
 The primitives are the ones the detector's graph needs between its fused
-nodes: `+`, `@`, `relu`, `mean`, `reshape`, `swapaxes` and `concat`, plus
-`*` and `sum` for building scalar roots.  Each fused layer makes its own node
-with `Tensor._result` and a closed-form backward; the primitives only the
-test oracles compose (negation, division, powers, exp, log, tanh, clamps,
-slicing) live with those oracles.
+nodes: `+`, `mean`, `reshape`, `swapaxes` and `concat`, plus `*` and `sum`
+for building scalar roots.  Each fused layer makes its own node with
+`Tensor._result` and a closed-form backward; the primitives only the test
+oracles compose (negation, division, powers, exp, log, tanh, clamps,
+slicing, relu, matrix products) live with those oracles.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _consumed(grad):
+    """The backward of an interior node a previous `backward()` released."""
+    raise RuntimeError("this graph was already consumed by backward(); "
+                       "build it again to backpropagate a second time")
 
 
 class Tensor:
@@ -122,10 +130,15 @@ class Tensor:
         # out views.  So the first contribution is adopted by reference and
         # only a sum allocated here is ever updated in place.
         owned: set[int] = set()
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            node = topo.pop()
+            back, parents, grad = node._backward, node._parents, node.grad
+            if back is None:
                 continue
-            for parent, pgrad in zip(node._parents, node._backward(node.grad)):
+            node._backward, node._parents, node.grad = _consumed, (), None
+            if grad is None:
+                continue
+            for parent, pgrad in zip(parents, back(grad)):
                 if pgrad is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -135,7 +148,6 @@ class Tensor:
                 else:
                     parent.grad = parent.grad + pgrad
                     owned.add(id(parent))
-            node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -155,12 +167,6 @@ class Tensor:
             a.data * b.data, (a, b),
             lambda g: (_unbroadcast(g * b.data, a.shape),
                        _unbroadcast(g * a.data, b.shape)))
-
-    def relu(self):
-        a = self
-        return Tensor._result(
-            np.maximum(a.data, 0.0), (a,),
-            lambda g: (g * (a.data > 0.0),))
 
     # -- reductions -----------------------------------------------------------
 
@@ -198,36 +204,6 @@ class Tensor:
         return Tensor._result(
             np.swapaxes(a.data, ax1, ax2), (a,),
             lambda g: (np.swapaxes(g, ax1, ax2),))
-
-    # -- matrix product -------------------------------------------------------
-
-    def __matmul__(self, other):
-        a, b = self, Tensor._coerce(other)
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-        if a.data.shape[-1] != b.data.shape[-2]:
-            raise ShapeError(
-                f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-        # a weight shared by all rows: 2-D GEMMs, its gradient in one product
-        rows = b.ndim == 2 and a.ndim > 2
-
-        def back(g):
-            ga = gb = None
-            if a.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            if b.requires_grad and rows:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
-            elif b.requires_grad:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return (ga, gb)
-
-        if rows:
-            out = (a.data.reshape(-1, a.shape[-1]) @ b.data) \
-                .reshape(*a.shape[:-1], b.shape[1])
-        else:
-            out = a.data @ b.data
-        return Tensor._result(out, (a, b), back)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -174,7 +174,10 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     train_cfg.validate()
     cfg = model_cfg.validate()
 
-    x_train, y_train, _ = dataset.arrays("train")
+    # a training batch is stacked from `dataset.waves` at its step; only the
+    # validation split, which predict_scores takes whole, is stacked up front
+    train_recs = dataset.split_records("train")
+    y_train = np.stack([r.labels for r in train_recs])
     x_val, y_val, _ = dataset.arrays("val")
     params = M.init_params(cfg, train_cfg.seed)
     opt = AdamW(params.values(), lr=train_cfg.lr, betas=train_cfg.betas,
@@ -186,8 +189,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
 
     for epoch in range(train_cfg.max_epochs):
         losses = []
-        for idx in _batches(x_train.shape[0], train_cfg.batch_size, rng):
-            logits = M.forward_batch(x_train[idx], cfg, params)
+        for idx in _batches(len(train_recs), train_cfg.batch_size, rng):
+            x = np.stack([dataset.waves[train_recs[i].sample_id] for i in idx])
+            logits = M.forward_batch(x, cfg, params)
             loss = bce_with_logits(logits, y_train[idx].astype(np.float64))
             if not np.isfinite(loss.data):
                 raise NumericError(

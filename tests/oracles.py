@@ -17,6 +17,7 @@ import numpy as np
 
 from hymad.errors import NumericError, ShapeError
 from hymad.functional import RnnParams, _softmax_
+from hymad.model import positional_encoding
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
 from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
 
@@ -79,6 +80,28 @@ def clip(a: Tensor, lo: float | None, hi: float | None) -> Tensor:
     if hi is not None:
         inside = inside * (a.data < hi)
     return _unary(a, np.clip(a.data, lo, hi), lambda g: g * inside)
+
+
+def relu(a: Tensor) -> Tensor:
+    return _unary(a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b over operands of at least two axes, broadcasting leading axes."""
+    a, b = Tensor._coerce(a), Tensor._coerce(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    return Tensor._result(
+        a.data @ b.data, (a, b),
+        lambda g: (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                   _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
+
+
+def add_positional(e: Tensor) -> Tensor:
+    """E + P over the two trailing axes [T, d_model]."""
+    return e + positional_encoding(e.shape[-2], e.shape[-1])
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -205,6 +228,12 @@ def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
     return log(avg_pool1d(y * y, pool) + eps)
 
 
+def dense_composed(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """The affine layer as product, bias-add and (for relu) relu nodes."""
+    z = matmul(x, w) + b
+    return relu(z) if act == "relu" else z
+
+
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     b, t, d = x.shape
     return x.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
@@ -219,11 +248,12 @@ def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
                              n_heads: int) -> Tensor:
     """layer_norm(x + MHA(x, kv)) from primitive nodes: per-weight
     projections, head reshapes, the composed softmax, and composed layer norm."""
-    q = _split_heads(x @ p[f"{prefix}.wq"], n_heads)
-    k = _split_heads(kv @ p[f"{prefix}.wk"], n_heads)
-    v = _split_heads(kv @ p[f"{prefix}.wv"], n_heads)
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
-    a = _merge_heads(softmax_rows_composed(scores) @ v) @ p[f"{prefix}.wo"]
+    q = _split_heads(matmul(x, p[f"{prefix}.wq"]), n_heads)
+    k = _split_heads(matmul(kv, p[f"{prefix}.wk"]), n_heads)
+    v = _split_heads(matmul(kv, p[f"{prefix}.wv"]), n_heads)
+    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.swapaxes(-1, -2))
+    a = matmul(_merge_heads(matmul(softmax_rows_composed(scores), v)),
+               p[f"{prefix}.wo"])
     return layer_norm_composed(x + a, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
 
 
@@ -237,7 +267,7 @@ def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:
     wht, wxt = transpose(p.w_h), transpose(p.w_x)
     states = []
     for t in range(steps):
-        h = tanh(h @ wht + index(f, np.s_[:, t, :]) @ wxt + p.b)
+        h = tanh(matmul(h, wht) + matmul(index(f, np.s_[:, t, :]), wxt) + p.b)
         states.append(h.reshape(bsz, 1, p.hidden))
     return concat(states, axis=1)
 

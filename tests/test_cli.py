@@ -130,6 +130,22 @@ def test_evaluate_threshold_outside_unit_interval_is_config_error(
     assert not (tmp_path / "e" / "report_test.txt").exists()
 
 
+def test_evaluate_prints_the_report_file_with_its_threshold(
+        workspace, tmp_path, capsys):
+    from hymad import model as M, train as T
+    root, cfg = workspace
+    ckpt = tmp_path / "m.ckpt"
+    model_cfg = load_config(cfg)[1]
+    T.save_checkpoint(ckpt, model_cfg, M.init_params(model_cfg, seed=0))
+    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--dataset", str(root / "data"), "--out", str(tmp_path / "e"),
+                   "--threshold", "0.3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (tmp_path / "e" / "report_test.txt").read_text()
+    assert "split = test\nthreshold = 0.3\n" in out
+
+
 def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
     root, _ = workspace
     bad = tmp_path / "bad.ini"

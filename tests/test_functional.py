@@ -8,9 +8,10 @@ from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
 from hymad.tensor import Tensor
 
-from oracles import (avg_pool1d, conv1d_same_fft, conv1d_same_naive, grad_check,
-                     index, log_pool_energy_composed, rnn_forward_unrolled,
-                     softmax_rows, softmax_rows_composed)
+from oracles import (avg_pool1d, conv1d_same_fft, conv1d_same_naive,
+                     dense_composed, grad_check, index, log_pool_energy_composed,
+                     matmul, rnn_forward_unrolled, softmax_rows,
+                     softmax_rows_composed)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -112,8 +113,8 @@ def test_attention_matches_composed_oracle_with_gradients():
                   for s in (shape_q, shape_kv, shape_kv)]
         copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
         q, k, v = copies
-        composed = softmax_rows_composed(
-            (q * (1.0 / math.sqrt(shape_q[-1]))) @ k.swapaxes(-1, -2)) @ v
+        composed = matmul(softmax_rows_composed(
+            matmul(q * (1.0 / math.sqrt(shape_q[-1])), k.swapaxes(-1, -2))), v)
         fused = F.attention(*leaves)
         np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
         w = rng.standard_normal(fused.shape)
@@ -246,6 +247,53 @@ def test_dense_matches_matmul_plus_bias():
     x, w, b = rng.standard_normal((2, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
     out = F.dense(Tensor(x), Tensor(w), Tensor(b), "linear").data
     np.testing.assert_allclose(out, x @ w + b, atol=1e-14)
+
+
+# x shape, bias shape: a row batch, and a [T, d] bias (the stream
+# projections' positional encoding) broadcast over a [B, T, d] batch
+DENSE_CASES = [((5, 3), (4,)), ((2, 6, 3), (6, 4)), ((2, 6, 3), (4,))]
+
+
+def _dense_leaves(x_shape, b_shape, seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in (x_shape, (x_shape[-1], 4), b_shape)]
+
+
+@pytest.mark.parametrize("act", ["relu", "linear"])
+@pytest.mark.parametrize("x_shape, b_shape", DENSE_CASES)
+def test_dense_matches_composed_oracle(x_shape, b_shape, act):
+    fused = _dense_leaves(x_shape, b_shape, 40)
+    composed = [Tensor(t.data.copy(), requires_grad=True) for t in fused]
+    out = F.dense(*fused, act)
+    ref = dense_composed(*composed, act)
+    assert len(out._parents) == 3 and all(p.grad is None for p in fused)
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    if act == "relu":
+        assert (out.data == 0.0).any() and (out.data > 0.0).any()
+    w = np.random.default_rng(41).standard_normal(out.shape)
+    (out * w).sum().backward()
+    (ref * w).sum().backward()
+    for a, b in zip(fused, composed):
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("act", ["relu", "linear"])
+def test_dense_gradients_match_finite_differences(act):
+    leaves = _dense_leaves((2, 6, 3), (6, 4), 42)
+    w = np.random.default_rng(43).standard_normal((2, 6, 4))
+    rep = grad_check(lambda: (F.dense(*leaves, act) * w).sum(), leaves)
+    assert rep["max_rel_err"] < 1e-6
+
+
+def test_dense_rejects_bad_shapes_and_activation():
+    x, w, b = _dense_leaves((5, 3), (4,), 44)
+    with pytest.raises(ShapeError):
+        F.dense(x, Tensor(np.ones((2, 4))), b)
+    with pytest.raises(ShapeError):
+        F.dense(Tensor(np.ones(3)), w, b)
+    with pytest.raises(ValueError):
+        F.dense(x, w, b, "tanh")
 
 
 # -- bce ----------------------------------------------------------------------

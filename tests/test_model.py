@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hymad.errors import ConfigError, NumericError, ShapeError
 from hymad import functional as F
 from hymad import model as M
-from hymad.tensor import Tensor, no_grad
+from hymad.tensor import Tensor, _consumed, no_grad
 
-from oracles import attention_block_composed, grad_check, layer_norm_composed
+from oracles import (add_positional, attention_block_composed, grad_check,
+                     layer_norm_composed)
 
 
 def tiny_cfg(**kw):
@@ -43,20 +45,20 @@ def test_posenc_rejects_odd_width():
 
 
 def test_add_positional_zero_input_gives_p():
-    out = M.add_positional(Tensor(np.zeros((6, 4))))
+    out = add_positional(Tensor(np.zeros((6, 4))))
     np.testing.assert_array_equal(out.data, M.positional_encoding(6, 4))
 
 
 def test_add_positional_inverse_recovers_input():
     rng = np.random.default_rng(0)
     e = rng.standard_normal((5, 4))
-    out = M.add_positional(Tensor(e)).data - M.positional_encoding(5, 4)
+    out = add_positional(Tensor(e)).data - M.positional_encoding(5, 4)
     np.testing.assert_allclose(out, e, atol=1e-15)
 
 
 def test_add_positional_gradient_is_identity():
     e = Tensor(np.zeros((3, 4)), requires_grad=True)
-    M.add_positional(e).sum().backward()
+    add_positional(e).sum().backward()
     np.testing.assert_array_equal(e.grad, np.ones((3, 4)))
 
 
@@ -243,27 +245,53 @@ def test_attention_block_nan_input_raises():
         M.attention_block(x, kv, p, "blk", 1)
 
 
-def _graph_nodes(root):
-    seen, stack = set(), [root]
+def _graph_nodes(root) -> list:
+    seen, nodes, stack = set(), [], [root]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            nodes.append(node)
             stack.extend(node._parents)
-    return len(seen)
+    return nodes
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 72), ({"branches": 3}, 83), ({"fusion_mode": "concat"}, 58),
-], ids=["default-72", "branches3-83", "concat-58"])
+    ({}, 65), ({"branches": 3}, 76), ({"fusion_mode": "concat"}, 51),
+], ids=["default-65", "branches3-76", "concat-51"])
 def test_training_graph_size(overrides, limit):
-    # each sinc bank, attention block and the frontend energy is one node; a
-    # change that splits one back into primitives grows the graph past the limit
+    # each sinc bank, attention block, affine layer and the frontend energy is
+    # one node; a change that splits one back into primitives grows the graph
+    # past the limit
     cfg = M.ModelConfig(**overrides)
     p = M.init_params(cfg, seed=0)
     x = np.random.default_rng(36).standard_normal((2, cfg.input_len))
     loss = F.bce_with_logits(M.forward_batch(x, cfg, p), np.eye(4)[:2])
-    assert _graph_nodes(loss) <= limit
+    assert len(_graph_nodes(loss)) <= limit
+
+
+def _captured(fn) -> dict:
+    """The variables a closure captured, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (c.cell_contents for c in fn.__closure__)))
+
+
+def test_backward_releases_the_graph():
+    cfg = tiny_cfg()
+    p = M.init_params(cfg, seed=0)
+    x = np.random.default_rng(37).standard_normal((2, cfg.input_len))
+    loss = F.bce_with_logits(M.forward_batch(x, cfg, p), np.eye(4)[:2])
+    interior = [n for n in _graph_nodes(loss) if n._parents]
+    blocks = [n._backward for n in interior
+              if n._backward.__qualname__.startswith("attention_block.")]
+    assert len(blocks) == 4
+    saved = [weakref.ref(_captured(fn)[name]) for fn in blocks
+             for name in ("proj", "p", "o", "xhat")]
+    del blocks
+    loss.backward()
+    assert all(n._parents == () and n._backward is _consumed for n in interior)
+    assert [r() for r in saved] == [None] * len(saved)
+    assert all(t.grad is not None for t in p.values())
 
 
 # -- full forward -------------------------------------------------------------

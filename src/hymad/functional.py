@@ -1,6 +1,9 @@
 """Differentiable layers, each one graph node with a closed-form backward.
 
-The layers take batches: waveforms [B, T] and sequences [B, T, d].
+The layers take batches: waveforms [B, T] and sequences [B, T, d].  The
+strided frontend convolution is one banded GEMM over contiguous input
+segments (see `conv1d_strided`); its [B, C, P] output is a view of
+channels-last [B, P, C] memory.
 """
 
 from __future__ import annotations
@@ -199,12 +202,21 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     every `stride`-th lag.
 
     x: [B, T]; kernels: [C, L] with odd L, stored over centered lags
-    -(L-1)/2 .. (L-1)/2.  Output [B, C, T/stride]:
+    -(L-1)/2 .. (L-1)/2.  Output [B, C, P], P = T/stride:
     y[b, c, p] = sum_n x[b, pS-n] k[c, n], zero-padded at the edges.
-    The full-resolution convolution is never materialised; the batch is
-    processed in chunks so the patch matrices stay small.  Only the kernels
-    get a gradient: the waveforms are data, so an `x` that requires one is
-    rejected.
+
+    The convolution is one banded GEMM.  Each run of Q = max(1, L // 2S)
+    consecutive outputs reads one contiguous segment of G = (Q-1)S + L padded
+    samples, so the segments [b * ceil(P/Q), G] times a band [G, Q C] that
+    holds the reversed kernels at row offsets 0, S, .., (Q-1)S give every
+    output at once.  With this Q the band is about 2/3 nonzero, and the
+    segments copy each sample about 3 times instead of the L/S times of a
+    per-output patch matrix.  The result is written channels-last, [B, P, C],
+    and returned as its [B, C, P] view.  The batch runs in chunks, so the
+    segment copies stay small; the backward takes them again from `x` and
+    folds the band gradient's Q diagonal blocks into the kernel gradient.
+    Only the kernels get a gradient: the waveforms are data, so an `x` that
+    requires one is rejected.
     """
     x, kernels = Tensor._coerce(x), Tensor._coerce(kernels)
     if x.requires_grad:
@@ -220,37 +232,53 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
         raise ShapeError(f"length {t_len} not divisible by conv stride {stride}")
     half = (l_len - 1) // 2
     n_out = t_len // stride
-    krev = np.ascontiguousarray(kd[:, ::-1])
+    q = max(1, l_len // (2 * stride))       # outputs per segment
+    n_seg = -(-n_out // q)
+    seg_len = (q - 1) * stride + l_len
+    pad_len = max(t_len + l_len - 1, (n_seg * q - 1) * stride + l_len)
+    blocks = [np.s_[i * stride:i * stride + l_len, i * n_filt:(i + 1) * n_filt]
+              for i in range(q)]
 
-    # out[b, c, p] = sum_w xpad[b, pS + w] k[c, L-1-w]
-    xpad = np.pad(xd, ((0, 0), (half, half)))
+    # out[b, jQ + i, c] = sum_w xpad[b, (jQ + i)S + w] k[c, L-1-w]
+    band = np.zeros((seg_len, q * n_filt))
+    for blk in blocks:
+        band[blk] = kd[:, ::-1].T
 
-    def _patches(rows):
-        view = np.lib.stride_tricks.sliding_window_view(rows, l_len, axis=1)
-        return np.ascontiguousarray(view[:, ::stride, :])   # [b, P, L]
+    def _segments(rows):
+        xpad = np.zeros((rows.shape[0], pad_len))
+        xpad[:, half:half + t_len] = rows
+        view = np.lib.stride_tricks.sliding_window_view(xpad, seg_len, axis=1)
+        return view[:, :n_seg * q * stride:q * stride].reshape(-1, seg_len)
 
-    out = np.empty((bsz, n_filt, n_out))
+    out = np.empty((bsz, n_seg * q, n_filt))     # the last segment's tail is cut
     for i in range(0, bsz, chunk):
-        pc = _patches(xpad[i:i + chunk])
-        b = pc.shape[0]
-        out[i:i + chunk] = (pc.reshape(b * n_out, l_len) @ krev.T) \
-            .reshape(b, n_out, n_filt).swapaxes(1, 2)
+        b = min(chunk, bsz - i)
+        np.matmul(_segments(xd[i:i + b]), band,
+                  out=out[i:i + b].reshape(b * n_seg, q * n_filt))
 
     def back(g):
-        gkrev = np.zeros_like(krev)
+        gband = np.zeros_like(band)
+        if n_out != n_seg * q:              # zero gradient for padded outputs
+            gpad = np.zeros((min(chunk, bsz), n_seg * q, n_filt))
         for i in range(0, bsz, chunk):
-            gt = np.ascontiguousarray(g[i:i + chunk].swapaxes(1, 2))
-            b = gt.shape[0]
-            pc = _patches(xpad[i:i + chunk]).reshape(b * n_out, l_len)
-            gkrev += gt.reshape(b * n_out, n_filt).T @ pc
-        return (gkrev[:, ::-1],)
+            b = min(chunk, bsz - i)
+            gt = g[i:i + b].swapaxes(1, 2)
+            if n_out != n_seg * q:
+                gpad[:b, :n_out] = gt
+                gt = gpad[:b]
+            gband += _segments(xd[i:i + b]).T @ gt.reshape(b * n_seg, q * n_filt)
+        gk = sum(gband[blk] for blk in blocks)
+        return (gk.T[:, ::-1],)
 
-    return Tensor._result(out, (kernels,), back)
+    return Tensor._result(out[:, :n_out].swapaxes(1, 2), (kernels,), back)
 
 
 def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:
     """log(mean(y^2) + eps) over non-overlapping windows of `pool` samples on
-    the last axis, one node; the backward is 2 y g / (pool (mean + eps))."""
+    the last axis, one node; the backward is 2 y g / (pool (mean + eps)).
+    The backward's arrays follow the memory order of `y`: a channels-last `y`
+    from `conv1d_strided` gets a channels-last gradient, which the
+    convolution's backward reads without a copy."""
     y = Tensor._coerce(y)
     t_len = y.shape[-1]
     if t_len % pool != 0:
@@ -260,8 +288,9 @@ def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:
     e += eps
 
     def back(g):
-        s = g / e
+        s = np.divide(g, e, out=np.empty_like(e))
         s *= 2.0 / pool
-        return ((windows * s[..., None]).reshape(y.shape),)
+        gy = np.multiply(windows, s[..., None], out=np.empty_like(windows))
+        return (gy.reshape(y.shape),)
 
     return Tensor._result(np.log(e), (y,), back)

@@ -48,6 +48,18 @@ class ModelConfig:
     init_strategy: str = "low-band"
 
     def validate(self):
+        for name in ("n_filters", "branches", "pool_stride", "rnn_hidden",
+                     "d_model", "n_heads", "input_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"model.{name} must be >= 1, got {getattr(self, name)}")
+        if any(h < 1 for h in self.mlp_hidden):
+            raise ConfigError(
+                f"model.mlp_hidden widths must be >= 1, got {self.mlp_hidden}")
+        if self.branches > len(self.branch_lens):
+            raise ConfigError(
+                f"model.branches ({self.branches}) exceeds the "
+                f"{len(self.branch_lens)} branch_lens")
         if self.d_model % 2 != 0:
             raise ConfigError(f"model.d_model must be even, got {self.d_model}")
         if self.d_model % self.n_heads != 0:

@@ -41,6 +41,9 @@ class TrainConfig:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(
+                f"train.betas must be two values in [0, 1), got {self.betas}")
         return self
 
 

@@ -144,7 +144,7 @@ def conv1d_same_naive(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 def conv1d_same_fft(x: Tensor, kernels: Tensor) -> Tensor:
     """Same-padded 1-d convolution of signals with a filter bank, via FFT.
 
-    An autodiff node independent of the im2col path in conv1d_strided; the
+    An autodiff node independent of the banded GEMM in conv1d_strided; the
     strided convolution's forward and backward are checked against it.
 
     x: [B, T]; kernels: [C, L] with odd L, stored over centered lags

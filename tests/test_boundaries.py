@@ -20,7 +20,7 @@ from hymad import train as T
 from hymad.errors import CompatibilityError
 from hymad.tensor import Tensor
 
-probe = settings(max_examples=12, deadline=None, database=None)
+probe = settings(max_examples=12)
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,37 @@ def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("POOL_STRIDE", "0"), ("N_HEADS", "0"), ("BRANCHES", "0"),
+    ("BRANCHES", "4"), ("N_FILTERS", "0"), ("D_MODEL", "-2"),
+    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0")])
+def test_bad_model_size_is_one_line_config_error(
+        workspace, tmp_path, capsys, monkeypatch, key, value):
+    _, cfg = workspace
+    monkeypatch.setenv(f"HYMAD_MODEL_{key}", value)
+    rc = cli.main(["generate", "--config", str(cfg),
+                   "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: model.")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_adam_beta_of_one_is_config_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    bad = tmp_path / "bad.ini"
+    bad.write_text(MICRO_CONFIG + "betas = 1.0,0.999\n")
+    rc = cli.main(["train", "--config", str(bad),
+                   "--dataset", str(root / "data"),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: train.betas")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "run" / "final.ckpt").exists()
+
+
 def test_unknown_key_names_field(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[dataset]\nbananas = 3\n")

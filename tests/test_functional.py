@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
@@ -423,6 +425,20 @@ def test_log_pool_energy_matches_composed_oracle():
     np.testing.assert_allclose(y1.grad, y2.grad, rtol=0, atol=1e-12)
 
 
+def test_log_pool_energy_gradient_keeps_input_layout():
+    # a channels-last y (the strided conv's output) gets a channels-last
+    # gradient with the same values as for a C-ordered copy
+    rng = np.random.default_rng(17)
+    last = rng.standard_normal((3, 24, 2))
+    y1 = Tensor(last.swapaxes(1, 2), requires_grad=True)
+    y2 = Tensor(np.ascontiguousarray(y1.data), requires_grad=True)
+    w = rng.standard_normal((3, 2, 6))
+    (F.log_pool_energy(y1, 4, 1e-6) * w).sum().backward()
+    (F.log_pool_energy(y2, 4, 1e-6) * w).sum().backward()
+    np.testing.assert_array_equal(y1.grad, y2.grad)
+    assert y1.grad.swapaxes(1, 2).flags.c_contiguous
+
+
 def test_log_pool_energy_gradient_check():
     rng = np.random.default_rng(16)
     y = Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
@@ -481,8 +497,58 @@ class TestConvStrided:
         with pytest.raises(ValueError, match="no gradient for its input"):
             F.conv1d_strided(x, Tensor(np.ones((1, 9)), requires_grad=True), 4)
 
+    def test_peak_memory_below_one_patch_matrix(self):
+        # the frontend's composition at the default sizes, one batch chunk;
+        # an im2col patch matrix [B, P, L] alone would take 16.5 MB
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((16, 8000)))
+        k = Tensor(rng.standard_normal((32, 129)), requires_grad=True)
+        patch_bytes = 16 * 1000 * 129 * 8
+        tracemalloc.start()
+        try:
+            F.log_pool_energy(F.conv1d_strided(x, k, 8), 8, 1e-6).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.grad is not None
+        assert peak < patch_bytes
+
     def test_indivisible_length_rejected(self):
         x = Tensor(np.zeros((1, 100)))
         k = Tensor(np.zeros((1, 9)))
         with pytest.raises(ShapeError):
             F.conv1d_strided(x, k, 7)
+
+
+# The explicit examples reach the segment edge cases whatever the draws:
+# L < stride (one output per segment), T < L, P not a multiple of the
+# segment's output count Q = max(1, L // 2S), and a partial last chunk.
+@settings(max_examples=40)
+@given(bsz=st.integers(1, 4), n_filt=st.integers(1, 3), half=st.integers(0, 20),
+       stride=st.integers(1, 12), n_out=st.integers(1, 24),
+       chunk=st.sampled_from([1, 2, 100]), seed=st.integers(0, 2 ** 32 - 1))
+@example(bsz=3, n_filt=2, half=2, stride=8, n_out=6, chunk=2, seed=0)
+@example(bsz=2, n_filt=3, half=20, stride=2, n_out=6, chunk=1, seed=1)
+@example(bsz=4, n_filt=1, half=16, stride=2, n_out=13, chunk=100, seed=2)
+@example(bsz=3, n_filt=3, half=20, stride=4, n_out=12, chunk=2, seed=3)
+def test_conv_strided_matches_oracles_over_shapes(bsz, n_filt, half, stride,
+                                                  n_out, chunk, seed):
+    rng = np.random.default_rng(seed)
+    l_len, t_len = 2 * half + 1, stride * n_out
+    x = rng.standard_normal((bsz, t_len))
+    k1 = Tensor(rng.standard_normal((n_filt, l_len)), requires_grad=True)
+    k2 = Tensor(k1.data.copy(), requires_grad=True)
+    w = rng.standard_normal((bsz, n_filt, n_out))
+
+    strided = F.conv1d_strided(Tensor(x), k1, stride, chunk=chunk)
+    naive = np.stack([conv1d_same_naive(row, k1.data)[:, ::stride] for row in x])
+    np.testing.assert_allclose(strided.data, naive, rtol=0, atol=1e-10)
+
+    # the FFT oracle needs T >= L: zero-extend the signal by whole strides,
+    # which leaves the same-padded outputs at the original positions as they are
+    ext = stride * -(-l_len // stride)
+    xe = Tensor(np.pad(x, ((0, 0), (ext, ext))))
+    sliced = index(conv1d_same_fft(xe, k2), np.s_[:, :, ext:ext + t_len:stride])
+    (strided * Tensor(w)).sum().backward()
+    (sliced * Tensor(w)).sum().backward()
+    np.testing.assert_allclose(k1.grad, k2.grad, rtol=0, atol=1e-10)

@@ -215,7 +215,7 @@ def test_attention_block_matches_composed_oracle(cross, n_heads):
                                  n_heads, cross)
 
 
-@settings(max_examples=15, deadline=None, database=None)
+@settings(max_examples=15)
 @given(st.integers(1, 20), st.integers(1, 6),
        st.sampled_from([(4, 1), (4, 2), (6, 3), (8, 4)]), st.booleans(),
        st.integers(0, 2 ** 32 - 1))

@@ -20,30 +20,40 @@ from hymad.tensor import Tensor, _unbroadcast
 BATCH_CHUNK = 16   # batch rows per block of the chunked kernels
 
 
-def _softmax_(p: np.ndarray) -> np.ndarray:
+def _softmax_(p: np.ndarray, m=None, l=None, saved: bool = False) -> np.ndarray:
     """Row-wise softmax over the last axis of `p`, in place, stabilized by max
-    subtraction; NaN input raises NumericError (the row max propagates it)."""
-    mx = p.max(axis=-1, keepdims=True)
-    if np.isnan(mx).any():
-        raise NumericError("softmax input contains NaN")
-    p -= mx
+    subtraction; NaN input raises NumericError (the row max propagates it).
+    Each row's max and sum of exponentials go into the [..., 1] buffers `m`
+    and `l` when given; with `saved` they are read instead, which redoes the
+    softmax of the same input bit for bit."""
+    if not saved:
+        m = np.max(p, axis=-1, keepdims=True, out=m)
+        if np.isnan(m).any():
+            raise NumericError("softmax input contains NaN")
+    p -= m
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= l if saved else np.sum(p, axis=-1, keepdims=True, out=l)
     return p
 
 
-def sdpa_forward(q, k, v, p, o):
+def sdpa_forward(q, k, v, p, o, m, l):
     """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
-    writes p = softmax(q k^T) and o = p v into the given buffers."""
+    writes o = softmax(q k^T) v.  `p` is scratch for the softmax rows; each
+    row's max and sum of exponentials go into `m` and `l`, which are all that
+    `sdpa_backward` needs of the softmax."""
     np.matmul(q, np.swapaxes(k, -1, -2), out=p)
-    _softmax_(p)
+    _softmax_(p, m, l)
     np.matmul(p, v, out=o)
 
 
-def sdpa_backward(q, k, v, p, o, go, gq, gk, gv):
+def sdpa_backward(q, k, v, p, o, m, l, go, gq, gk, gv):
     """The gradients of `sdpa_forward` for output gradient `go`, written into
-    `gq`, `gk` and `gv`; the softmax rows are recovered from the stored `p`,
-    and sum_s gP ⊙ P over a row is the cheaper go·o."""
+    `gq`, `gk` and `gv`.  The softmax rows are recomputed into scratch `p`
+    from the saved row stats, by the forward's GEMM on the same operands, so
+    they equal the forward's bit for bit; sum_s gP ⊙ P over a row is the
+    cheaper go·o."""
+    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
+    _softmax_(p, m, l, saved=True)
     np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
     gs = go @ np.swapaxes(v, -1, -2)
     gs -= (go * o).sum(axis=-1, keepdims=True)
@@ -54,7 +64,8 @@ def sdpa_backward(q, k, v, p, o, go, gq, gk, gv):
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V over
-    [..., T, d] inputs, one node over the attention block's kernels."""
+    [..., T, d] inputs, one node over the attention block's kernels: it
+    saves the output and the softmax row stats, not the probabilities."""
     q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
@@ -63,13 +74,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
     scale = 1.0 / math.sqrt(d_k)
     qs = q.data * scale
-    p = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    p_shape = q.shape[:-1] + k.shape[-2:-1]
     o = np.empty(q.shape[:-1] + v.shape[-1:])
-    sdpa_forward(qs, k.data, v.data, p, o)
+    stats = np.empty((2,) + q.shape[:-1] + (1,))
+    sdpa_forward(qs, k.data, v.data, np.empty(p_shape), o, *stats)
 
     def back(g):
         gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
-        sdpa_backward(qs, k.data, v.data, p, o, g, gq, gk, gv)
+        sdpa_backward(qs, k.data, v.data, np.empty(p_shape), o, *stats,
+                      g, gq, gk, gv)
         gq *= scale
         return (gq, gk, gv)
 
@@ -275,10 +288,11 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
 
 def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:
     """log(mean(y^2) + eps) over non-overlapping windows of `pool` samples on
-    the last axis, one node; the backward is 2 y g / (pool (mean + eps)).
-    The backward's arrays follow the memory order of `y`: a channels-last `y`
-    from `conv1d_strided` gets a channels-last gradient, which the
-    convolution's backward reads without a copy."""
+    the last axis, one node, returned with its last two axes swapped: [B, C, T]
+    in, [B, T / pool, C] out.  The backward is 2 y g / (pool (mean + eps)).
+    The arrays follow the memory order of `y`: the channels-last `y` of
+    `conv1d_strided` gives C-contiguous features and gets a channels-last
+    gradient, which the convolution's backward reads without a copy."""
     y = Tensor._coerce(y)
     t_len = y.shape[-1]
     if t_len % pool != 0:
@@ -288,9 +302,9 @@ def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:
     e += eps
 
     def back(g):
-        s = np.divide(g, e, out=np.empty_like(e))
+        s = np.divide(g.swapaxes(-1, -2), e, out=np.empty_like(e))
         s *= 2.0 / pool
         gy = np.multiply(windows, s[..., None], out=np.empty_like(windows))
         return (gy.reshape(y.shape),)
 
-    return Tensor._result(np.log(e), (y,), back)
+    return Tensor._result(np.log(e).swapaxes(-1, -2), (y,), back)

@@ -24,9 +24,9 @@ def strict_match_accuracy(pred, truth) -> float:
 
 
 def hamming_accuracy(pred, truth) -> float:
-    """1 - fraction of wrong label bits over all N*L cells."""
+    """Fraction of matching label bits over all N*L cells."""
     pred, truth = _check_pair(pred, truth)
-    return float(1.0 - np.mean(pred != truth))
+    return float(np.mean(pred == truth))
 
 
 def _confusions(pred: np.ndarray, truth: np.ndarray) -> list[tuple]:

@@ -155,7 +155,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
     def back(g):
         return (_layer_norm_back(g * gain.data, xhat, inv),
-                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
+                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
     out = xhat * gain.data
     out += bias.data
@@ -171,8 +172,10 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     [Wq / sqrt(d_k) | Wk | Wv], applied as one GEMM for self-attention and as
     two (queries, keys and values) for cross-attention; heads are strided
     views of its output.  Attention runs over batch chunks of
-    `F.BATCH_CHUNK` into preallocated probability and output buffers, which
-    the backward reads instead of recomputing the softmax.
+    `F.BATCH_CHUNK`, with the softmax rows in one chunk-sized scratch buffer.
+    The node saves the projections, the attention output, the normalised
+    residual and each softmax row's max and sum; the backward recomputes
+    each chunk's probabilities from these, bit for bit.
     """
     x, kv = Tensor._coerce(x), Tensor._coerce(kv)
     if kv.shape != x.shape:
@@ -197,12 +200,16 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     for src, cols in spans:
         np.matmul(src, w_in[:, cols], out=proj.reshape(-1, 3 * d)[:, cols])
     qkv = [heads(proj, c) for c in (0, d, 2 * d)]
-    p = np.empty((bsz, n_heads, t_len, t_len))
     o = np.empty((bsz, t_len, d))
     o_h = heads(o, 0)
-    chunks = [slice(i, i + F.BATCH_CHUNK) for i in range(0, bsz, F.BATCH_CHUNK)]
+    stats = np.empty((2, bsz, n_heads, t_len, 1))     # softmax row max, sum
+    chunks = [slice(i, min(i + F.BATCH_CHUNK, bsz))
+              for i in range(0, bsz, F.BATCH_CHUNK)]
+    p_shape = (min(F.BATCH_CHUNK, bsz), n_heads, t_len, t_len)
+    p = np.empty(p_shape)
     for c in chunks:
-        F.sdpa_forward(*(a[c] for a in qkv), p[c], o_h[c])
+        F.sdpa_forward(*(a[c] for a in qkv), p[:c.stop - c.start], o_h[c],
+                       *(s[c] for s in stats))
     xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
     xhat += x.data
     inv = _normalize_(xhat, 1e-6)
@@ -215,9 +222,10 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
         go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
         gproj = np.empty_like(proj)
         gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
+        p = np.empty(p_shape)
         for c in chunks:
-            F.sdpa_backward(*(a[c] for a in qkv), p[c], o_h[c], go_h[c],
-                            *(a[c] for a in gqkv))
+            F.sdpa_backward(*(a[c] for a in qkv), p[:c.stop - c.start], o_h[c],
+                            *(s[c] for s in stats), go_h[c], *(a[c] for a in gqkv))
         gp2 = gproj.reshape(-1, 3 * d)
         g_w = np.empty_like(w_in)
         g_src = []
@@ -332,11 +340,10 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
         y = F.conv1d_strided(x, kernels, cfg.conv_stride)
         outs.append(F.log_pool_energy(y, cfg.pool_stride // cfg.conv_stride,
                                       LOG_ENERGY_EPS))
-    y = concat(outs, axis=-2) if len(outs) > 1 else outs[0]
+    y = concat(outs, axis=-1) if len(outs) > 1 else outs[0]
     # standardize per sample: silent bands sit near log(eps) and would
     # otherwise saturate the tanh recurrence and dwarf the projections
-    y = layer_norm(y.reshape(y.shape[0], -1), 1.0, 0.0, eps=1e-8).reshape(y.shape)
-    return y.swapaxes(-1, -2)
+    return layer_norm(y.reshape(y.shape[0], -1), 1.0, 0.0, eps=1e-8).reshape(y.shape)
 
 
 def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:

@@ -155,18 +155,20 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
+    # an operand that does not require grad gets None, not a dropped gradient
     def __add__(self, other):
         a, b = self, Tensor._coerce(other)
         return Tensor._result(
             a.data + b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+            lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                       _unbroadcast(g, b.shape) if b.requires_grad else None))
 
     def __mul__(self, other):
         a, b = self, Tensor._coerce(other)
         return Tensor._result(
             a.data * b.data, (a, b),
-            lambda g: (_unbroadcast(g * b.data, a.shape),
-                       _unbroadcast(g * a.data, b.shape)))
+            lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                       _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
     # -- reductions -----------------------------------------------------------
 

@@ -11,13 +11,14 @@ finite differences.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.functional import RnnParams, _softmax_
-from hymad.model import positional_encoding
+from hymad.functional import BATCH_CHUNK, RnnParams, _softmax_
+from hymad.model import _layer_norm_back, _normalize_, positional_encoding
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
 from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
 
@@ -224,8 +225,9 @@ def avg_pool1d(x: Tensor, stride: int) -> Tensor:
 
 
 def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
-    """The frontend's pooled log energy as product, pool, shift and log nodes."""
-    return log(avg_pool1d(y * y, pool) + eps)
+    """The frontend's pooled log energy as product, pool, shift, log and
+    axis-swap nodes."""
+    return log(avg_pool1d(y * y, pool) + eps).swapaxes(-1, -2)
 
 
 def dense_composed(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
@@ -255,6 +257,104 @@ def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
     a = matmul(_merge_heads(matmul(softmax_rows_composed(scores), v)),
                p[f"{prefix}.wo"])
     return layer_norm_composed(x + a, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
+
+
+def sdpa_forward_stored_p(q, k, v, p, o):
+    """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
+    writes p = softmax(q k^T) and o = p v into the given buffers."""
+    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
+    _softmax_(p)
+    np.matmul(p, v, out=o)
+
+
+def sdpa_backward_stored_p(q, k, v, p, o, go, gq, gk, gv):
+    """The gradients of `sdpa_forward` for output gradient `go`, written into
+    `gq`, `gk` and `gv`; the softmax rows are recovered from the stored `p`,
+    and sum_s gP ⊙ P over a row is the cheaper go·o."""
+    np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
+    gs = go @ np.swapaxes(v, -1, -2)
+    gs -= (go * o).sum(axis=-1, keepdims=True)
+    gs *= p
+    np.matmul(gs, k, out=gq)
+    np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+
+
+def attention_stored_p(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """`functional.attention` with the whole probability matrix stored for
+    the backward instead of the softmax row stats."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    qs = q.data * scale
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    o = np.empty(q.shape[:-1] + v.shape[-1:])
+    sdpa_forward_stored_p(qs, k.data, v.data, p, o)
+
+    def back(g):
+        gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
+        sdpa_backward_stored_p(qs, k.data, v.data, p, o, g, gq, gk, gv)
+        gq *= scale
+        return (gq, gk, gv)
+
+    return Tensor._result(o, (q, k, v), back)
+
+
+def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
+                             n_heads: int) -> Tensor:
+    """`model.attention_block` with a [B, h, T, T] probability buffer that the
+    backward reads instead of recomputing the softmax per chunk."""
+    wq, wk, wv, wo, gain, bias = (params[f"{prefix}.{n}"] for n in
+                                  ("wq", "wk", "wv", "wo", "ln_g", "ln_b"))
+    bsz, t_len, d = x.shape
+    d_k = d // n_heads
+    scale = 1.0 / math.sqrt(d_k)
+    w_in = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
+    x2 = x.data.reshape(-1, d)
+    spans = [(x2, slice(None))] if kv is x else \
+        [(x2, slice(0, d)), (kv.data.reshape(-1, d), slice(d, None))]
+
+    def heads(a, col):
+        return a[..., col:col + d].reshape(bsz, t_len, n_heads, d_k) \
+            .transpose(0, 2, 1, 3)
+
+    proj = np.empty((bsz, t_len, 3 * d))
+    for src, cols in spans:
+        np.matmul(src, w_in[:, cols], out=proj.reshape(-1, 3 * d)[:, cols])
+    qkv = [heads(proj, c) for c in (0, d, 2 * d)]
+    p = np.empty((bsz, n_heads, t_len, t_len))
+    o = np.empty((bsz, t_len, d))
+    o_h = heads(o, 0)
+    chunks = [slice(i, i + BATCH_CHUNK) for i in range(0, bsz, BATCH_CHUNK)]
+    for c in chunks:
+        sdpa_forward_stored_p(*(a[c] for a in qkv), p[c], o_h[c])
+    xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
+    xhat += x.data
+    inv = _normalize_(xhat, 1e-6)
+
+    def back(g):
+        gz = _layer_norm_back(g * gain.data, xhat, inv)
+        gz2 = gz.reshape(-1, d)
+        g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
+        g_wo = o.reshape(-1, d).T @ gz2
+        go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
+        gproj = np.empty_like(proj)
+        gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
+        for c in chunks:
+            sdpa_backward_stored_p(*(a[c] for a in qkv), p[c], o_h[c], go_h[c],
+                                   *(a[c] for a in gqkv))
+        gp2 = gproj.reshape(-1, 3 * d)
+        g_w = np.empty_like(w_in)
+        g_src = []
+        for src, cols in spans:
+            np.matmul(src.T, gp2[:, cols], out=g_w[:, cols])
+            g_src.append((gp2[:, cols] @ w_in[:, cols].T).reshape(x.shape))
+        g_src[0] += gz
+        g_w[:, :d] *= scale
+        return (g_src[0], g_src[1] if len(g_src) > 1 else None,
+                g_w[:, :d], g_w[:, d:2 * d], g_w[:, 2 * d:], g_wo, g_gain,
+                g.reshape(-1, d).sum(axis=0))
+
+    out = xhat * gain.data
+    out += bias.data
+    return Tensor._result(out, (x, kv, wq, wk, wv, wo, gain, bias), back)
 
 
 def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:

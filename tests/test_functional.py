@@ -10,10 +10,10 @@ from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
 from hymad.tensor import Tensor
 
-from oracles import (avg_pool1d, conv1d_same_fft, conv1d_same_naive,
-                     dense_composed, grad_check, index, log_pool_energy_composed,
-                     matmul, rnn_forward_unrolled, softmax_rows,
-                     softmax_rows_composed)
+from oracles import (attention_stored_p, avg_pool1d, conv1d_same_fft,
+                     conv1d_same_naive, dense_composed, grad_check, index,
+                     log_pool_energy_composed, matmul, rnn_forward_unrolled,
+                     softmax_rows, softmax_rows_composed)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -124,6 +124,27 @@ def test_attention_matches_composed_oracle_with_gradients():
         (composed * w).sum().backward()
         for got, want in zip(leaves, copies):
             np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape_q, shape_kv", [((4, 3), (6, 3)),
+                                              ((2, 3, 5, 4), (2, 3, 7, 4))],
+                         ids=["2d", "4d"])
+def test_attention_bit_identical_to_stored_p(shape_q, shape_kv):
+    # recomputing P in the backward from the row stats reproduces the
+    # stored-P kernels' output and gradients byte for byte
+    rng = np.random.default_rng(7)
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in (shape_q, shape_kv, shape_kv)]
+    w = rng.standard_normal(shape_q[:-1] + shape_kv[-1:])
+    runs = []
+    for attn in (F.attention, attention_stored_p):
+        out = attn(*leaves)
+        (out * w).sum().backward()
+        runs.append([out.data] + [t.grad for t in leaves])
+        for t in leaves:
+            t.grad = None
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_attention_gradient_check():
@@ -416,7 +437,7 @@ def test_log_pool_energy_matches_composed_oracle():
     rng = np.random.default_rng(15)
     y1 = Tensor(rng.standard_normal((3, 2, 24)), requires_grad=True)
     y2 = Tensor(y1.data.copy(), requires_grad=True)
-    w = rng.standard_normal((3, 2, 6))
+    w = rng.standard_normal((3, 6, 2))
     fused = F.log_pool_energy(y1, 4, 1e-6)
     composed = log_pool_energy_composed(y2, 4, 1e-6)
     np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
@@ -426,15 +447,19 @@ def test_log_pool_energy_matches_composed_oracle():
 
 
 def test_log_pool_energy_gradient_keeps_input_layout():
-    # a channels-last y (the strided conv's output) gets a channels-last
-    # gradient with the same values as for a C-ordered copy
+    # a channels-last y (the strided conv's output) gives C-contiguous
+    # [B, T', C] features and gets a channels-last gradient, with the same
+    # values as for a C-ordered copy
     rng = np.random.default_rng(17)
     last = rng.standard_normal((3, 24, 2))
     y1 = Tensor(last.swapaxes(1, 2), requires_grad=True)
     y2 = Tensor(np.ascontiguousarray(y1.data), requires_grad=True)
-    w = rng.standard_normal((3, 2, 6))
-    (F.log_pool_energy(y1, 4, 1e-6) * w).sum().backward()
-    (F.log_pool_energy(y2, 4, 1e-6) * w).sum().backward()
+    w = rng.standard_normal((3, 6, 2))
+    out1, out2 = F.log_pool_energy(y1, 4, 1e-6), F.log_pool_energy(y2, 4, 1e-6)
+    np.testing.assert_array_equal(out1.data, out2.data)
+    assert out1.data.flags.c_contiguous
+    (out1 * w).sum().backward()
+    (out2 * w).sum().backward()
     np.testing.assert_array_equal(y1.grad, y2.grad)
     assert y1.grad.swapaxes(1, 2).flags.c_contiguous
 
@@ -442,7 +467,7 @@ def test_log_pool_energy_gradient_keeps_input_layout():
 def test_log_pool_energy_gradient_check():
     rng = np.random.default_rng(16)
     y = Tensor(rng.standard_normal((2, 2, 12)), requires_grad=True)
-    w = rng.standard_normal((2, 2, 4))
+    w = rng.standard_normal((2, 4, 2))
     rep = grad_check(lambda: (F.log_pool_energy(y, 3, 1e-6) * w).sum(), [y])
     assert rep["max_rel_err"] < 1e-6
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hymad.errors import ShapeError
 from hymad import metrics as MT
@@ -219,6 +220,30 @@ def test_compute_report_fields_and_format():
     for key in ("exact_match_acc", "hamming_acc", "precision", "recall",
                 "f1", "auroc"):
         assert key in text
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 30), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_report_invariants(n, n_labels, seed):
+    # random 0/1 predictions and truths; scores on a coarse grid, so ties in
+    # the AUROC ranks occur
+    rng = np.random.default_rng(seed)
+    pred = rng.integers(0, 2, (n, n_labels))
+    truth = rng.integers(0, 2, (n, n_labels))
+    truth[:2, 0] = [1, 0]                 # one non-degenerate AUROC column
+    scores = rng.integers(0, 5, (n, n_labels)) / 4.0
+    rep = MT.compute_report(pred, truth, scores)
+    assert rep.hamming >= rep.strict_match
+
+    rows = rng.permutation(n)
+    assert MT.compute_report(pred[rows], truth[rows], scores[rows]) == rep
+
+    cols = rng.permutation(n_labels)
+    swapped = MT.compute_report(pred[:, cols], truth[:, cols], scores[:, cols])
+    for name in ("precision", "recall", "f1", "auroc"):
+        # the macro mean adds the same per-label values in another order
+        assert getattr(swapped, name) == pytest.approx(getattr(rep, name),
+                                                       rel=1e-12, abs=0)
 
 
 def test_write_curves_csv(tmp_path):

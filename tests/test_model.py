@@ -10,8 +10,8 @@ from hymad import functional as F
 from hymad import model as M
 from hymad.tensor import Tensor, _consumed, no_grad
 
-from oracles import (add_positional, attention_block_composed, grad_check,
-                     layer_norm_composed)
+from oracles import (add_positional, attention_block_composed,
+                     attention_block_stored_p, grad_check, layer_norm_composed)
 
 
 def tiny_cfg(**kw):
@@ -229,6 +229,57 @@ def test_attention_block_matches_oracle_over_shapes(bsz, t_len, d_heads, cross, 
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_attention_block_bit_identical_to_stored_p(cross, n_heads):
+    # the backward recomputes each chunk's softmax rows from the saved row
+    # stats; output and all eight gradients equal the stored-P kernels' bytes
+    # (B = 17: a full batch chunk and a partial one)
+    rng = np.random.default_rng(40 + n_heads)
+    p, x, kv = _block_case(rng, 17, 6, 8, cross)
+    leaves = [x, kv, *p.values()]
+    w = rng.standard_normal((17, 6, 8))
+    runs = []
+    for block in (M.attention_block, attention_block_stored_p):
+        out = block(x, kv, p, "blk", n_heads)
+        (out * w).sum().backward()
+        runs.append([out.data] + [t.grad for t in leaves])
+        for t in leaves:
+            t.grad = None
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
+
+
+def _reachable_arrays(fn) -> list:
+    """The arrays a closure's cells reach through lists, tuples, tensors' data
+    and views' bases."""
+    found, stack = [], [c.cell_contents for c in fn.__closure__]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+    return found
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_attention_closures_hold_no_probability_matrix(cross):
+    # the nodes keep the softmax row stats, [B, h, T, 1], not P [B, h, T, T]
+    bsz, t_len, n_heads = 20, 12, 2
+    p, x, kv = _block_case(np.random.default_rng(42), bsz, t_len, 4, cross)
+    q = Tensor(x.data.reshape(bsz, t_len, n_heads, 2).transpose(0, 2, 1, 3),
+               requires_grad=True)
+    for node in (M.attention_block(x, kv, p, "blk", n_heads),
+                 F.attention(q, q, q)):
+        sizes = [a.size for a in _reachable_arrays(node._backward)]
+        assert sizes and max(sizes) < bsz * n_heads * t_len * t_len
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
 def test_attention_block_gradient_check(cross):
     rng = np.random.default_rng(34)
     p, x, kv = _block_case(rng, 2, 3, 4, cross)
@@ -257,8 +308,8 @@ def _graph_nodes(root) -> list:
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 65), ({"branches": 3}, 76), ({"fusion_mode": "concat"}, 51),
-], ids=["default-65", "branches3-76", "concat-51"])
+    ({}, 64), ({"branches": 3}, 75), ({"fusion_mode": "concat"}, 50),
+], ids=["default-64", "branches3-75", "concat-50"])
 def test_training_graph_size(overrides, limit):
     # each sinc bank, attention block, affine layer and the frontend energy is
     # one node; a change that splits one back into primitives grows the graph
@@ -286,7 +337,7 @@ def test_backward_releases_the_graph():
               if n._backward.__qualname__.startswith("attention_block.")]
     assert len(blocks) == 4
     saved = [weakref.ref(_captured(fn)[name]) for fn in blocks
-             for name in ("proj", "p", "o", "xhat")]
+             for name in ("proj", "o", "xhat", "stats")]
     del blocks
     loss.backward()
     assert all(n._parents == () and n._backward is _consumed for n in interior)

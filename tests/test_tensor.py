@@ -106,6 +106,23 @@ def test_broadcast_add_backward():
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
 
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("const_first", [False, True], ids=["const-right", "const-left"])
+def test_constant_operand_gets_no_gradient(op, const_first):
+    # the constant side's gradient is None, not a product the engine drops;
+    # the other side's is byte for byte the unbroadcast rule's
+    rng = np.random.default_rng(9)
+    var = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    const = Tensor(rng.standard_normal(4))
+    a, b = (const, var) if const_first else (var, const)
+    out = a + b if op == "add" else a * b
+    g = rng.standard_normal((3, 4))
+    grads = out._backward(g)
+    want = g if op == "add" else g * const.data
+    assert grads[0 if const_first else 1] is None
+    assert grads[1 if const_first else 0].tobytes() == want.tobytes()
+
+
 def test_concat_backward():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -368,32 +368,38 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
     return cfg, records, digests
 
 
-def _read_dataset(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]:
-    """Read each shard once and check it against the manifest in that read;
-    the waveforms are read-only views of the shard bytes."""
-    cfg, records, digests = _read_manifest(path)
-    waves = {}
-    for split in SPLITS:
-        file = path / f"{split}.bin"
-        blob = file.read_bytes()
-        if hashlib.sha256(blob).hexdigest() != digests[split]:
-            raise CompatibilityError(f"{file} does not match its manifest digest")
-        if len(blob) % SHARD_RECORD.itemsize:
-            raise CompatibilityError(f"{file} is not a whole number of records")
-        shard = np.frombuffer(blob, SHARD_RECORD)
-        ids = shard["sample_id"].tolist()
-        held = [r for r in records if r.split == split]
-        if ids != [r.sample_id for r in held] \
-                or shard["label"].tolist() != [_label_byte(r.labels) for r in held]:
-            raise CompatibilityError(f"{file} does not hold the manifest's "
-                                     f"{split} samples and labels in order")
-        waves.update(zip(ids, shard["wave"]))
-    return cfg, records, waves
+def _read_shard(path: Path, split: str, digest: str,
+                records: list[SampleRecord]) -> np.ndarray:
+    """Read one split's shard and check it against the manifest in that read.
+
+    Returns the shard's records, a read-only view of its bytes; the bytes
+    live exactly as long as the caller keeps that view.
+    """
+    file = path / f"{split}.bin"
+    blob = file.read_bytes()
+    if hashlib.sha256(blob).hexdigest() != digest:
+        raise CompatibilityError(f"{file} does not match its manifest digest")
+    if len(blob) % SHARD_RECORD.itemsize:
+        raise CompatibilityError(f"{file} is not a whole number of records")
+    shard = np.frombuffer(blob, SHARD_RECORD)
+    held = [r for r in records if r.split == split]
+    if shard["sample_id"].tolist() != [r.sample_id for r in held] \
+            or shard["label"].tolist() != [_label_byte(r.labels) for r in held]:
+        raise CompatibilityError(f"{file} does not hold the manifest's "
+                                 f"{split} samples and labels in order")
+    return shard
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a saved dataset; any malformed file raises CompatibilityError."""
-    return Dataset(*_read_dataset(Path(path)))
+    """Read a saved dataset; any malformed file raises CompatibilityError.
+    The waveforms are read-only views of the shard bytes."""
+    path = Path(path)
+    cfg, records, digests = _read_manifest(path)
+    waves = {}
+    for split in SPLITS:
+        shard = _read_shard(path, split, digests[split], records)
+        waves.update(zip(shard["sample_id"].tolist(), shard["wave"]))
+    return Dataset(cfg, records, waves)
 
 
 def manifest_digest(path: str | Path) -> str:
@@ -401,9 +407,13 @@ def manifest_digest(path: str | Path) -> str:
 
 
 def verify_shards(path: str | Path) -> bool:
-    """Whether `load_dataset` would accept the shards of the dataset at `path`."""
+    """Whether `load_dataset` would accept the shards of the dataset at `path`.
+    Each shard's bytes are dropped before the next shard is read."""
+    path = Path(path)
     try:
-        _read_dataset(Path(path))
+        _, records, digests = _read_manifest(path)
+        for split in SPLITS:
+            _read_shard(path, split, digests[split], records)
     except CompatibilityError:
         return False
     return True

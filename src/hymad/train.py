@@ -171,14 +171,55 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
     return report
 
 
+# Rows per forward and backward pass.  A training step runs its batch as
+# consecutive microbatches of at most this many rows, so the live graph is
+# that of 32 rows whatever the batch size; a batch of 32 rows or fewer is one
+# microbatch and takes the one-graph step unchanged.  Fewer rows would split
+# the B=32 batches of small-config runs and slow them; at 64 rows a default
+# step's graph again outgrows the rest of a training run's memory.
+STEP_ROWS = 32
+
+
+def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
+               params: dict, opt: AdamW, epoch: int = 0) -> float:
+    """One optimizer step over a batch; returns the batch's mean loss.
+
+    `waves` holds the batch's waveforms, `y` their float targets and `ids`
+    the names the non-finite-loss error gives them.  Each microbatch of b of
+    the B rows runs forward and backward on its own graph, and b/B times its
+    leaf gradients is summed outside the graph, so the step sees the
+    gradient and loss of one graph over all B rows.
+    """
+    n = len(waves)
+    total, acc = 0.0, None
+    for i in range(0, n, STEP_ROWS):
+        rows = slice(i, i + STEP_ROWS)
+        x = np.stack(waves[rows])
+        loss = bce_with_logits(M.forward_batch(x, cfg, params), y[rows])
+        if not np.isfinite(loss.data):
+            raise NumericError(f"non-finite loss at epoch {epoch}, "
+                               f"batch ids {ids[rows].tolist()}")
+        opt.zero_grad()
+        loss.backward()
+        w = len(x) / n
+        total += w * float(loss.data)
+        grads = [w * p.grad for p in opt.params]
+        acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
+    for p, g in zip(opt.params, acc):
+        p.grad = g
+    opt.step()
+    return total
+
+
 def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
           out_dir=None) -> tuple[dict, RunRecord]:
     """Seeded mini-batch loop; retains the best-validation parameters."""
     train_cfg.validate()
     cfg = model_cfg.validate()
 
-    # a training batch is stacked from `dataset.waves` at its step; only the
-    # validation split, which predict_scores takes whole, is stacked up front
+    # a training step stacks each microbatch from `dataset.waves` as it runs
+    # it; only the validation split, which predict_scores takes whole, is
+    # stacked up front
     train_recs = dataset.split_records("train")
     y_train = np.stack([r.labels for r in train_recs])
     x_val, y_val, _ = dataset.arrays("val")
@@ -193,16 +234,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     for epoch in range(train_cfg.max_epochs):
         losses = []
         for idx in _batches(len(train_recs), train_cfg.batch_size, rng):
-            x = np.stack([dataset.waves[train_recs[i].sample_id] for i in idx])
-            logits = M.forward_batch(x, cfg, params)
-            loss = bce_with_logits(logits, y_train[idx].astype(np.float64))
-            if not np.isfinite(loss.data):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch ids {idx.tolist()}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
+            waves = [dataset.waves[train_recs[i].sample_id] for i in idx]
+            losses.append(train_step(waves, y_train[idx].astype(np.float64),
+                                     idx, cfg, params, opt, epoch))
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 

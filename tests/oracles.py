@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.functional import BATCH_CHUNK, RnnParams, _softmax_
-from hymad.model import _layer_norm_back, _normalize_, positional_encoding
+from hymad.functional import BATCH_CHUNK, RnnParams, _softmax_, bce_with_logits
+from hymad.model import (_layer_norm_back, _normalize_, forward_batch,
+                         positional_encoding)
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
 from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
 
@@ -442,3 +443,14 @@ def grad_check(f: Callable[[], Tensor], params: list[Tensor],
             table.append((i, worst))
             max_rel = max(max_rel, worst)
     return {"max_rel_err": max_rel, "per_param": table}
+
+
+def train_step_one_graph(x: np.ndarray, y: np.ndarray, cfg, params: dict):
+    """The training step's loss and gradients from one graph over every row
+    of the batch, the step before it ran as microbatches; returns the loss
+    and name -> gradient, and leaves the parameters' values unchanged."""
+    for p in params.values():
+        p.grad = None
+    loss = bce_with_logits(forward_batch(x, cfg, params), y)
+    loss.backward()
+    return float(loss.data), {k: p.grad for k, p in params.items()}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,52 @@ def test_fusion_override_recorded(workspace):
     assert rc == 0
     text = (root / "run_freq" / "run_manifest.txt").read_text()
     assert "fusion_mode = freq_only" in text
+
+
+@pytest.fixture
+def nan_data(workspace, tmp_path):
+    """The workspace dataset saved again, with valid digests, after one train
+    waveform was set to NaN."""
+    from hymad import datagen as D
+    ds = D.load_dataset(workspace[0] / "data")
+    ds.waves[ds.split_records("train")[0].sample_id] = np.full(D.SEGMENT_LEN,
+                                                               np.nan)
+    return D.save_dataset(ds, tmp_path / "nan")
+
+
+@pytest.mark.parametrize("batch_size", [8, 64])
+def test_nan_waveform_stops_training_at_its_microbatch(
+        workspace, nan_data, monkeypatch, batch_size):
+    # at B=64 the one step over all 56 train rows runs as 32 + 24 rows, and
+    # no optimizer step may follow a failed microbatch
+    from hymad import datagen as D, model as M, train as T
+    from hymad.errors import NumericError
+    events = []
+    forward = M.forward_batch
+
+    def watched(x, cfg, params):
+        events.append("nan" if np.isnan(x).any() else "forward")
+        return forward(x, cfg, params)
+
+    monkeypatch.setattr(M, "forward_batch", watched)
+    monkeypatch.setattr(T.AdamW, "step", lambda self: events.append("step"))
+    _, model_cfg, train_cfg = load_config(workspace[1])
+    ds = D.load_dataset(nan_data)
+    with pytest.raises(NumericError):
+        T.train(ds, model_cfg, replace(train_cfg, batch_size=batch_size))
+    assert events[-1] == "nan" and events.count("nan") == 1
+    if batch_size == 64:
+        assert 64 > len(ds.split_records("train")) > T.STEP_ROWS
+        assert "step" not in events
+
+
+def test_nan_waveform_is_numeric_error(workspace, nan_data, tmp_path, capsys):
+    rc = cli.main(["train", "--config", str(workspace[1]),
+                   "--dataset", str(nan_data), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("numeric error: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_missing_dataset_is_io_error(workspace, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,9 @@ from hymad.errors import CompatibilityError, ConfigError
 from hymad import datagen as D
 from hymad import model as M
 from hymad import train as T
+from hymad.optim import AdamW
+
+from oracles import train_step_one_graph
 
 
 def tiny_model():
@@ -141,3 +145,64 @@ def test_early_stop_caps_epochs(tiny_data):
     _, rec = T.train(tiny_data, cfg, tiny_train(max_epochs=5,
                                                 early_stop_exact=0.0))
     assert len(rec.losses) == 1
+
+
+def microbatched_step(x, y, cfg):
+    """`train.train_step` over the rows of `x` from seed-0 parameters; returns
+    its loss and the summed gradients it handed the optimizer."""
+    params = M.init_params(cfg, seed=0)
+    opt = AdamW(params.values(), lr=0.0, weight_decay=0.0)
+    loss = T.train_step(list(x), y, np.arange(len(x)), cfg, params, opt)
+    return loss, {k: p.grad for k, p in params.items()}
+
+
+def stacked(ds, n):
+    recs = ds.records[:n]
+    return (np.stack([ds.waves[r.sample_id] for r in recs]),
+            np.stack([r.labels for r in recs]).astype(np.float64))
+
+
+def test_microbatched_step_matches_one_graph(tiny_data):
+    # 70 rows run as 32 + 32 + 6; the rows' weights 32/70 and 6/70 are inexact
+    cfg = tiny_model()
+    x, y = stacked(tiny_data, 70)
+    assert len(x) == 70 and 2 * T.STEP_ROWS < 70 < 3 * T.STEP_ROWS
+    loss, grads = microbatched_step(x, y, cfg)
+    ref_loss, ref = train_step_one_graph(x, y, cfg, M.init_params(cfg, seed=0))
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert grads.keys() == ref.keys()
+    # an entry that cancels to near zero carries the rounding of its whole
+    # sum, so each entry is held to 1e-12 of its own size or of the
+    # parameter's largest entry
+    for k in ref:
+        np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref[k]).max(), err_msg=k)
+
+
+@pytest.mark.parametrize("rows", [5, 32])
+def test_step_of_at_most_step_rows_is_the_one_graph_step(tiny_data, rows):
+    cfg = tiny_model()
+    x, y = stacked(tiny_data, rows)
+    loss, grads = microbatched_step(x, y, cfg)
+    ref_loss, ref = train_step_one_graph(x, y, cfg, M.init_params(cfg, seed=0))
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    for k in ref:
+        assert grads[k].tobytes() == ref[k].tobytes(), k
+
+
+def test_step_memory_does_not_grow_with_batch():
+    # one epoch over 140 train rows; at B=128 a step ran one graph over 128
+    # rows, and its peak grew with B
+    ds = D.build_dataset(D.DatasetConfig(n_per_class=24, seed=1))
+    for sid in ds.waves:
+        ds.waves[sid] = ds.waves[sid][:512].copy()
+    cfg = tiny_model()
+    peaks = {}
+    for b in (32, 128):
+        tracemalloc.start()
+        try:
+            T.train(ds, cfg, tiny_train(batch_size=b, max_epochs=1))
+            peaks[b] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[128] <= 1.3 * peaks[32], peaks

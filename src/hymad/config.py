@@ -23,8 +23,6 @@ ENV_PREFIX = "HYMAD_"
 def _convert(raw: str, target_type, key: str):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
         if target_type is int:
             return int(raw)
         if target_type is float:
@@ -40,8 +38,8 @@ def _convert(raw: str, target_type, key: str):
 def _field_type(f):
     # annotations are strings under `from __future__ import annotations`
     ann = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "str")
-    for name, t in (("tuple", tuple), ("bool", bool), ("int", int),
-                    ("float", float), ("str", str)):
+    for name, t in (("tuple", tuple), ("int", int), ("float", float),
+                    ("str", str)):
         if name in ann:
             return t
     return type(f.default)

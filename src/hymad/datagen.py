@@ -261,12 +261,10 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
         combo = f"{c1}+{c2}"
         for split in SPLITS:
             pool1 = [i for i in ids_by_class[c1] if singles[i].split == split]
+            # every class splits n_per_class sources with the same counts,
+            # so both pools are non-empty once every split is
             pool2 = [i for i in ids_by_class[c2] if singles[i].split == split]
-            want = sum(1 for i in ids_by_class[c1] if singles[i].split == split)
-            if want > 0 and (not pool1 or not pool2):
-                raise ConfigError(
-                    f"empty {split} source pool for combination {combo}")
-            for j in range(want):
+            for j in range(len(pool1)):
                 rng = np.random.default_rng([cfg.seed, 0xA0 + pair_idx,
                                              SPLITS.index(split), j])
                 p = singles[int(rng.choice(pool1))]

@@ -8,9 +8,6 @@ channels-last [B, P, C] memory.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
@@ -62,55 +59,10 @@ def sdpa_backward(q, k, v, p, o, m, l, go, gq, gk, gv):
     np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V over
-    [..., T, d] inputs, one node over the attention block's kernels: it
-    saves the output and the softmax row stats, not the probabilities."""
-    q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
-    d_k = q.shape[-1]
-    if k.shape[-1] != d_k:
-        raise ShapeError(f"query width {d_k} != key width {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
-    scale = 1.0 / math.sqrt(d_k)
-    qs = q.data * scale
-    p_shape = q.shape[:-1] + k.shape[-2:-1]
-    o = np.empty(q.shape[:-1] + v.shape[-1:])
-    stats = np.empty((2,) + q.shape[:-1] + (1,))
-    sdpa_forward(qs, k.data, v.data, np.empty(p_shape), o, *stats)
-
-    def back(g):
-        gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
-        sdpa_backward(qs, k.data, v.data, np.empty(p_shape), o, *stats,
-                      g, gq, gk, gv)
-        gq *= scale
-        return (gq, gk, gv)
-
-    return Tensor._result(o, (q, k, v), back)
-
-
-@dataclass
-class RnnParams:
-    """Elman recurrence weights: h_t = tanh(W_h h_{t-1} + W_x f_t + b)."""
-
-    w_h: Tensor  # [H, H]
-    w_x: Tensor  # [H, C_in]
-    b: Tensor    # [H]
-
-    def __post_init__(self):
-        h1, h2 = self.w_h.shape
-        if h1 != h2:
-            raise ShapeError(f"W_h must be square, got {self.w_h.shape}")
-        if self.w_x.shape[0] != h1 or self.b.shape != (h1,):
-            raise ShapeError("RNN parameter shapes disagree")
-
-    @property
-    def hidden(self) -> int:
-        return self.b.shape[0]
-
-
-def rnn_forward(f: Tensor, p: RnnParams) -> Tensor:
-    """Run the recurrence from a zero state over a [B, T, C] feature batch.
+def rnn_forward(f: Tensor, w_h: Tensor, w_x: Tensor, b: Tensor) -> Tensor:
+    """Run the Elman recurrence h_t = tanh(W_h h_{t-1} + W_x f_t + b) from a
+    zero state over a [B, T, C] feature batch, with W_h [H, H], W_x [H, C]
+    and b [H].
 
     Returns the hidden-state sequence [B, T, H] as one graph node.
     W_x f_t + b is one GEMM over all steps, so only the tanh recurrence
@@ -121,39 +73,39 @@ def rnn_forward(f: Tensor, p: RnnParams) -> Tensor:
     if f.ndim != 3:
         raise ShapeError(f"RNN input must be [B, T, C], got {f.shape}")
     bsz, steps, c_in = f.shape
-    hid = p.hidden
-    if p.w_x.shape[1] != c_in:
-        raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
-    w_h, w_x = p.w_h.data, p.w_x.data
+    hid = b.shape[0]
+    if w_x.shape[1] != c_in:
+        raise ShapeError(f"W_x expects {w_x.shape[1]} features, got {c_in}")
+    whd, wxd = w_h.data, w_x.data
     flat = f.data.reshape(-1, c_in)
 
-    pre = (flat @ w_x.T + p.b.data).reshape(bsz, steps, hid)
+    pre = (flat @ wxd.T + b.data).reshape(bsz, steps, hid)
     hs = np.empty((bsz, steps, hid))
     h = np.zeros((1, hid))
     for t in range(steps):
-        h = np.tanh(h @ w_h.T + pre[:, t], out=hs[:, t])
+        h = np.tanh(h @ whd.T + pre[:, t], out=hs[:, t])
 
     def back(g):
         dz = 1.0 - hs * hs                  # tanh' at every step
         carry = 0.0                         # dL/dh_t through h_{t+1}
         for t in range(steps - 1, -1, -1):
             dz[:, t] *= g[:, t] + carry
-            carry = dz[:, t] @ w_h
+            carry = dz[:, t] @ whd
         dz_flat = dz.reshape(-1, hid)
         gf = gwh = gwx = gb = None
         if f.requires_grad:
-            gf = (dz_flat @ w_x).reshape(f.shape)
-        if p.w_h.requires_grad:
+            gf = (dz_flat @ wxd).reshape(f.shape)
+        if w_h.requires_grad:
             h_prev = np.zeros_like(hs)
             h_prev[:, 1:] = hs[:, :-1]
             gwh = dz_flat.T @ h_prev.reshape(-1, hid)
-        if p.w_x.requires_grad:
+        if w_x.requires_grad:
             gwx = dz_flat.T @ flat
-        if p.b.requires_grad:
+        if b.requires_grad:
             gb = dz_flat.sum(axis=0)
         return (gf, gwh, gwx, gb)
 
-    return Tensor._result(hs, (f, p.w_h, p.w_x, p.b), back)
+    return Tensor._result(hs, (f, w_h, w_x, b), back)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:

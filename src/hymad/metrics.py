@@ -49,11 +49,6 @@ def _macro(counts) -> tuple[float, float, float]:
     return float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))
 
 
-def macro_prf1(pred, truth) -> tuple[float, float, float]:
-    """Macro-averaged precision/recall/F1; zero-division yields 0 per label."""
-    return _macro(_confusions(*_check_pair(pred, truth)))
-
-
 def _rankdata(a: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
     order = np.argsort(a, kind="mergesort")
@@ -81,12 +76,10 @@ def label_auroc(scores: np.ndarray, truth: np.ndarray) -> float | None:
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def auroc(scores, truth) -> float:
-    """Macro AUROC over labels with at least one positive and one negative."""
-    scores = np.asarray(scores, dtype=np.float64)
-    _, truth = _check_pair(np.zeros_like(truth), truth)
-    vals = [label_auroc(scores[:, j], truth[:, j]) for j in range(truth.shape[1])]
-    vals = [v for v in vals if v is not None]
+def auroc(per_label: list) -> float:
+    """Macro AUROC: the mean of the `label_auroc` values that are defined,
+    i.e. over labels with at least one positive and one negative."""
+    vals = [v for v in per_label if v is not None]
     if not vals:
         raise ValueError("all label columns are degenerate; AUROC undefined")
     return float(np.mean(vals))
@@ -133,12 +126,6 @@ def curve_points(scores: np.ndarray, truth: np.ndarray,
     return points
 
 
-def trapezoid_area(points: list[tuple[float, float, float]]) -> float:
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    return float(np.trapezoid(ys, xs))
-
-
 @dataclass
 class MetricsReport:
     n_samples: int
@@ -176,19 +163,17 @@ def compute_report(pred, truth, scores=None) -> MetricsReport:
         scores = pred.astype(np.float64)
     counts = _confusions(pred, truth)
     p, r, f = _macro(counts)
-    per_label = []
-    for j, (tp, fp, fn, tn) in enumerate(counts):
-        auc_j = label_auroc(np.asarray(scores)[:, j], truth[:, j])
-        per_label.append({
-            "label": j, "tp": tp, "fp": fp, "fn": fn, "tn": tn,
-            "auroc": "n/a" if auc_j is None else f"{auc_j:.6f}",
-        })
+    aucs = [label_auroc(np.asarray(scores)[:, j], truth[:, j])
+            for j in range(truth.shape[1])]
+    per_label = [{"label": j, "tp": tp, "fp": fp, "fn": fn, "tn": tn,
+                  "auroc": "n/a" if a is None else f"{a:.6f}"}
+                 for j, ((tp, fp, fn, tn), a) in enumerate(zip(counts, aucs))]
     return MetricsReport(
         n_samples=truth.shape[0], n_labels=truth.shape[1],
         strict_match=strict_match_accuracy(pred, truth),
         hamming=hamming_accuracy(pred, truth),
         precision=p, recall=r, f1=f,
-        auroc=auroc(scores, truth), per_label=per_label)
+        auroc=auroc(aucs), per_label=per_label)
 
 
 def write_curves_csv(path, scores, truth, kind: str):

@@ -18,8 +18,7 @@ from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad.sincnet import bank_kernels, init_filterbank
-from hymad.functional import RnnParams
-from hymad.tensor import Tensor, _unbroadcast, concat
+from hymad.tensor import Tensor, concat
 
 FUSION_MODES = ("cross_attention", "concat", "freq_only", "temp_only")
 FRONTENDS = ("sinc", "plain")
@@ -101,10 +100,6 @@ class ModelConfig:
         return self.n_filters * len(self.kernel_lens())
 
     @property
-    def seq_len(self) -> int:
-        return self.input_len // self.pool_stride
-
-    @property
     def fused_width(self) -> int:
         return 2 * self.d_model if self.fusion_mode in ("cross_attention", "concat") \
             else self.d_model
@@ -147,20 +142,15 @@ def _layer_norm_back(gg: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.nd
     return gx
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, one node."""
-    x, gain, bias = (Tensor._coerce(t) for t in (x, gain, bias))
-    xhat = x.data.copy()
+def standardize(y: Tensor, eps: float) -> Tensor:
+    """Each sample of `y` [B, ...] centred and scaled to unit variance over all
+    of its entries, one node."""
+    xhat = y.data.reshape(y.shape[0], -1).copy()
     inv = _normalize_(xhat, eps)
-
-    def back(g):
-        return (_layer_norm_back(g * gain.data, xhat, inv),
-                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
-                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
-
-    out = xhat * gain.data
-    out += bias.data
-    return Tensor._result(out, (x, gain, bias), back)
+    return Tensor._result(
+        xhat.reshape(y.shape), (y,),
+        lambda g: (_layer_norm_back(g.reshape(xhat.shape), xhat, inv)
+                   .reshape(y.shape),))
 
 
 def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
@@ -343,7 +333,7 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
     y = concat(outs, axis=-1) if len(outs) > 1 else outs[0]
     # standardize per sample: silent bands sit near log(eps) and would
     # otherwise saturate the tanh recurrence and dwarf the projections
-    return layer_norm(y.reshape(y.shape[0], -1), 1.0, 0.0, eps=1e-8).reshape(y.shape)
+    return standardize(y, 1e-8)
 
 
 def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:
@@ -363,8 +353,8 @@ def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:
         a_freq = self_attention_block(e_freq, params, "self_freq", cfg.n_heads)
         streams.append(a_freq)
     if cfg.fusion_mode != "freq_only":
-        rnn = RnnParams(params["rnn.w_h"], params["rnn.w_x"], params["rnn.b"])
-        h_seq = F.rnn_forward(feats, rnn)
+        h_seq = F.rnn_forward(feats, params["rnn.w_h"], params["rnn.w_x"],
+                              params["rnn.b"])
         e_temp = F.dense(h_seq, params["proj_temp.w"],
                          params["proj_temp.b"] + positions)
         a_temp = self_attention_block(e_temp, params, "self_temp", cfg.n_heads)

@@ -12,11 +12,11 @@ handed out by `backward()` is never written to afterwards, so a caller may
 hold on to it.
 
 The primitives are the ones the detector's graph needs between its fused
-nodes: `+`, `mean`, `reshape`, `swapaxes` and `concat`, plus `*` and `sum`
-for building scalar roots.  Each fused layer makes its own node with
-`Tensor._result` and a closed-form backward; the primitives only the test
-oracles compose (negation, division, powers, exp, log, tanh, clamps,
-slicing, relu, matrix products) live with those oracles.
+nodes: `+`, `mean` and `concat`, plus `*` and `sum` for building scalar
+roots.  Each fused layer makes its own node with `Tensor._result` and a
+closed-form backward; the primitives only the test oracles compose
+(negation, division, powers, exp, log, tanh, clamps, slicing, reshapes,
+axis swaps, relu, matrix products) live with those oracles.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -126,8 +123,8 @@ class Tensor:
         self.grad = np.ones_like(self.data) if self.grad is None \
             else self.grad + 1.0
         # Gradient arrays may be shared: `_unbroadcast` returns its input,
-        # `__add__` hands one array to both parents, and reshape/split hand
-        # out views.  So the first contribution is adopted by reference and
+        # `__add__` hands one array to both parents, and splits and reshapes
+        # hand out views.  So the first contribution is adopted by reference and
         # only a sum allocated here is ever updated in place.
         owned: set[int] = set()
         while topo:
@@ -193,19 +190,6 @@ class Tensor:
 
         return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims) * scale,
                               (a,), back)
-
-    # -- shape manipulation ---------------------------------------------------
-
-    def reshape(self, *shape):
-        a = self
-        return Tensor._result(
-            a.data.reshape(*shape), (a,), lambda g: (g.reshape(a.shape),))
-
-    def swapaxes(self, ax1: int, ax2: int):
-        a = self
-        return Tensor._result(
-            np.swapaxes(a.data, ax1, ax2), (a,),
-            lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -3,9 +3,9 @@
 Each oracle is the plain composition (or loop) that a fused op replaced, or an
 independent algorithm for the same result (the FFT convolution), kept here so
 that the fast forward and closed-form backward are checked against a separate
-derivation.  The elementwise, slicing and transposing primitives those
-compositions need, and that the package itself no longer calls, are free
-functions here.  `grad_check` compares any analytic gradient with central
+derivation.  The elementwise, slicing, reshaping and transposing primitives
+those compositions need, and that the package itself no longer calls, are
+free functions here.  `grad_check` compares any analytic gradient with central
 finite differences.
 """
 
@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.functional import BATCH_CHUNK, RnnParams, _softmax_, bce_with_logits
+from hymad.functional import (BATCH_CHUNK, _softmax_, bce_with_logits,
+                              sdpa_backward, sdpa_forward)
+from hymad.metrics import _check_pair, _confusions, _macro
 from hymad.model import (_layer_norm_back, _normalize_, forward_batch,
                          positional_encoding)
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
@@ -84,6 +86,15 @@ def clip(a: Tensor, lo: float | None, hi: float | None) -> Tensor:
     return _unary(a, np.clip(a.data, lo, hi), lambda g: g * inside)
 
 
+def reshape(a: Tensor, *shape) -> Tensor:
+    return _unary(a, a.data.reshape(*shape), lambda g: g.reshape(a.shape))
+
+
+def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    return _unary(a, np.swapaxes(a.data, ax1, ax2),
+                  lambda g: np.swapaxes(g, ax1, ax2))
+
+
 def relu(a: Tensor) -> Tensor:
     return _unary(a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
 
@@ -108,7 +119,7 @@ def add_positional(e: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the two trailing axes."""
-    return a.swapaxes(-1, -2)
+    return swapaxes(a, -1, -2)
 
 
 def index(a: Tensor, idx) -> Tensor:
@@ -217,18 +228,25 @@ def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor,
     return div(sub(x, mu), sqrt(var + eps)) * gain + bias
 
 
+def standardize_composed(y: Tensor, eps: float) -> Tensor:
+    """The frontend's per-sample standardiser as reshape and composed
+    layer-norm nodes."""
+    return reshape(layer_norm_composed(reshape(y, y.shape[0], -1), 1.0, 0.0, eps),
+                   *y.shape)
+
+
 def avg_pool1d(x: Tensor, stride: int) -> Tensor:
     """Non-overlapping average pooling over the last axis."""
     t_len = x.shape[-1]
     if t_len % stride != 0:
         raise ShapeError(f"length {t_len} not divisible by pool stride {stride}")
-    return x.reshape(*x.shape[:-1], t_len // stride, stride).mean(axis=-1)
+    return reshape(x, *x.shape[:-1], t_len // stride, stride).mean(axis=-1)
 
 
 def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
     """The frontend's pooled log energy as product, pool, shift, log and
     axis-swap nodes."""
-    return log(avg_pool1d(y * y, pool) + eps).swapaxes(-1, -2)
+    return transpose(log(avg_pool1d(y * y, pool) + eps))
 
 
 def dense_composed(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
@@ -239,12 +257,12 @@ def dense_composed(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).swapaxes(1, 2)
+    return swapaxes(reshape(x, b, t, n_heads, d // n_heads), 1, 2)
 
 
 def _merge_heads(x: Tensor) -> Tensor:
     b, h, t, dk = x.shape
-    return x.swapaxes(1, 2).reshape(b, t, h * dk)
+    return reshape(swapaxes(x, 1, 2), b, t, h * dk)
 
 
 def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
@@ -254,10 +272,37 @@ def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
     q = _split_heads(matmul(x, p[f"{prefix}.wq"]), n_heads)
     k = _split_heads(matmul(kv, p[f"{prefix}.wk"]), n_heads)
     v = _split_heads(matmul(kv, p[f"{prefix}.wv"]), n_heads)
-    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.swapaxes(-1, -2))
+    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), transpose(k))
     a = matmul(_merge_heads(matmul(softmax_rows_composed(scores), v)),
                p[f"{prefix}.wo"])
     return layer_norm_composed(x + a, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V over
+    [..., T, d] inputs, one node over the attention block's kernels: it
+    saves the output and the softmax row stats, not the probabilities."""
+    q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
+    d_k = q.shape[-1]
+    if k.shape[-1] != d_k:
+        raise ShapeError(f"query width {d_k} != key width {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
+    scale = 1.0 / math.sqrt(d_k)
+    qs = q.data * scale
+    p_shape = q.shape[:-1] + k.shape[-2:-1]
+    o = np.empty(q.shape[:-1] + v.shape[-1:])
+    stats = np.empty((2,) + q.shape[:-1] + (1,))
+    sdpa_forward(qs, k.data, v.data, np.empty(p_shape), o, *stats)
+
+    def back(g):
+        gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
+        sdpa_backward(qs, k.data, v.data, np.empty(p_shape), o, *stats,
+                      g, gq, gk, gv)
+        gq *= scale
+        return (gq, gk, gv)
+
+    return Tensor._result(o, (q, k, v), back)
 
 
 def sdpa_forward_stored_p(q, k, v, p, o):
@@ -281,7 +326,7 @@ def sdpa_backward_stored_p(q, k, v, p, o, go, gq, gk, gv):
 
 
 def attention_stored_p(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """`functional.attention` with the whole probability matrix stored for
+    """`attention` with the whole probability matrix stored for
     the backward instead of the softmax row stats."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     qs = q.data * scale
@@ -358,18 +403,20 @@ def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
     return Tensor._result(out, (x, kv, wq, wk, wv, wo, gain, bias), back)
 
 
-def rnn_forward_unrolled(f: Tensor, p: RnnParams) -> Tensor:
+def rnn_forward_unrolled(f: Tensor, w_h: Tensor, w_x: Tensor,
+                         b: Tensor) -> Tensor:
     """The Elman recurrence over [B, T, C], unrolled into per-step slice,
     matmul and tanh nodes from a zero state."""
     bsz, steps, c_in = f.shape
-    if p.w_x.shape[1] != c_in:
-        raise ShapeError(f"W_x expects {p.w_x.shape[1]} features, got {c_in}")
-    h = Tensor(np.zeros((bsz, p.hidden)))
-    wht, wxt = transpose(p.w_h), transpose(p.w_x)
+    if w_x.shape[1] != c_in:
+        raise ShapeError(f"W_x expects {w_x.shape[1]} features, got {c_in}")
+    hid = b.shape[0]
+    h = Tensor(np.zeros((bsz, hid)))
+    wht, wxt = transpose(w_h), transpose(w_x)
     states = []
     for t in range(steps):
-        h = tanh(matmul(h, wht) + matmul(index(f, np.s_[:, t, :]), wxt) + p.b)
-        states.append(h.reshape(bsz, 1, p.hidden))
+        h = tanh(matmul(h, wht) + matmul(index(f, np.s_[:, t, :]), wxt) + b)
+        states.append(reshape(h, bsz, 1, hid))
     return concat(states, axis=1)
 
 
@@ -403,6 +450,19 @@ def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int, fs: float,
     if window == "hamming":
         kernels = kernels * hamming_window(l_len)
     return kernels
+
+
+def macro_prf1(pred, truth) -> tuple[float, float, float]:
+    """Macro-averaged precision/recall/F1 through the package's confusion
+    counts and averaging; zero-division yields 0 per label."""
+    return _macro(_confusions(*_check_pair(pred, truth)))
+
+
+def trapezoid_area(points: list[tuple[float, float, float]]) -> float:
+    """Trapezoidal area under (x, y, threshold) curve points."""
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    return float(np.trapezoid(ys, xs))
 
 
 def grad_check(f: Callable[[], Tensor], params: list[Tensor],

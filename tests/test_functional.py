@@ -10,10 +10,10 @@ from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
 from hymad.tensor import Tensor
 
-from oracles import (attention_stored_p, avg_pool1d, conv1d_same_fft,
+from oracles import (attention, attention_stored_p, avg_pool1d, conv1d_same_fft,
                      conv1d_same_naive, dense_composed, grad_check, index,
                      log_pool_energy_composed, matmul, rnn_forward_unrolled,
-                     softmax_rows, softmax_rows_composed)
+                     softmax_rows, softmax_rows_composed, transpose)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_attention_single_key_returns_value_row():
     q = rng.standard_normal((5, 3))
     k = rng.standard_normal((1, 3))
     v = rng.standard_normal((1, 4))
-    out = F.attention(Tensor(q), Tensor(k), Tensor(v)).data
+    out = attention(Tensor(q), Tensor(k), Tensor(v)).data
     np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_attention_zero_query_gives_column_mean():
     rng = np.random.default_rng(2)
     k = rng.standard_normal((6, 3))
     v = rng.standard_normal((6, 4))
-    out = F.attention(Tensor(np.zeros((2, 3))), Tensor(k), Tensor(v)).data
+    out = attention(Tensor(np.zeros((2, 3))), Tensor(k), Tensor(v)).data
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_attention_matches_two_step_oracle():
     scores = q @ k.T / math.sqrt(2)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     want = (e / e.sum(axis=1, keepdims=True)) @ v
-    got = F.attention(Tensor(q), Tensor(k), Tensor(v)).data
+    got = attention(Tensor(q), Tensor(k), Tensor(v)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -103,8 +103,8 @@ def test_attention_permutation_equivariant_in_keys():
     k = rng.standard_normal((5, 2))
     v = rng.standard_normal((5, 3))
     perm = rng.permutation(5)
-    a = F.attention(Tensor(q), Tensor(k), Tensor(v)).data
-    b = F.attention(Tensor(q), Tensor(k[perm]), Tensor(v[perm])).data
+    a = attention(Tensor(q), Tensor(k), Tensor(v)).data
+    b = attention(Tensor(q), Tensor(k[perm]), Tensor(v[perm])).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -116,8 +116,8 @@ def test_attention_matches_composed_oracle_with_gradients():
         copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
         q, k, v = copies
         composed = matmul(softmax_rows_composed(
-            matmul(q * (1.0 / math.sqrt(shape_q[-1])), k.swapaxes(-1, -2))), v)
-        fused = F.attention(*leaves)
+            matmul(q * (1.0 / math.sqrt(shape_q[-1])), transpose(k))), v)
+        fused = attention(*leaves)
         np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
         w = rng.standard_normal(fused.shape)
         (fused * w).sum().backward()
@@ -137,7 +137,7 @@ def test_attention_bit_identical_to_stored_p(shape_q, shape_kv):
               for s in (shape_q, shape_kv, shape_kv)]
     w = rng.standard_normal(shape_q[:-1] + shape_kv[-1:])
     runs = []
-    for attn in (F.attention, attention_stored_p):
+    for attn in (attention, attention_stored_p):
         out = attn(*leaves)
         (out * w).sum().backward()
         runs.append([out.data] + [t.grad for t in leaves])
@@ -152,33 +152,31 @@ def test_attention_gradient_check():
     leaves = [Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
               for _ in range(3)]
     w = rng.standard_normal((2, 3, 2))
-    rep = grad_check(lambda: (F.attention(*leaves) * w).sum(), leaves)
+    rep = grad_check(lambda: (attention(*leaves) * w).sum(), leaves)
     assert rep["max_rel_err"] < 1e-6
 
 
 def test_attention_width_mismatch():
     with pytest.raises(ShapeError):
-        F.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
+        attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
                     Tensor(np.ones((2, 4))))
 
 
 # -- rnn ----------------------------------------------------------------------
 
 def _rnn_params(w_h, w_x, b):
-    return F.RnnParams(Tensor(w_h, requires_grad=True),
-                       Tensor(w_x, requires_grad=True),
-                       Tensor(b, requires_grad=True))
+    return tuple(Tensor(a, requires_grad=True) for a in (w_h, w_x, b))
 
 
 def test_rnn_all_zero_weights():
     p = _rnn_params(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
-    out = F.rnn_forward(Tensor(np.random.default_rng(0).standard_normal((1, 5, 2))), p)
+    out = F.rnn_forward(Tensor(np.random.default_rng(0).standard_normal((1, 5, 2))), *p)
     np.testing.assert_array_equal(out.data, np.zeros((1, 5, 3)))
 
 
 def test_rnn_scalar_closed_form():
     p = _rnn_params(np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1))
-    out = F.rnn_forward(Tensor(np.array([[[1.0], [-1.0]]])), p)
+    out = F.rnn_forward(Tensor(np.array([[[1.0], [-1.0]]])), *p)
     np.testing.assert_allclose(out.data, [[[math.tanh(1.0)], [math.tanh(-1.0)]]],
                                atol=1e-15)
 
@@ -204,7 +202,7 @@ def test_rnn_matches_scalar_loop_oracle():
             z[i] = math.tanh(acc)
         h = z
         want[t] = h
-    got = F.rnn_forward(Tensor(f[None]), _rnn_params(w_h, w_x, b)).data[0]
+    got = F.rnn_forward(Tensor(f[None]), *_rnn_params(w_h, w_x, b)).data[0]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -213,9 +211,9 @@ def test_rnn_batched_matches_single():
     p = _rnn_params(rng.standard_normal((3, 3)) * 0.3,
                     rng.standard_normal((3, 2)), rng.standard_normal(3))
     f = rng.standard_normal((4, 5, 2))
-    batched = F.rnn_forward(Tensor(f), p).data
+    batched = F.rnn_forward(Tensor(f), *p).data
     for i in range(4):
-        single = F.rnn_forward(Tensor(f[i:i + 1]), p).data[0]
+        single = F.rnn_forward(Tensor(f[i:i + 1]), *p).data[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-14)
 
 
@@ -231,11 +229,11 @@ def _rnn_case(seed, bsz, steps=5, c_in=3, h_dim=4):
 @pytest.mark.parametrize("bsz", [1, 3])
 def test_rnn_fused_matches_unrolled_oracle(bsz):
     p, f, w = _rnn_case(30, bsz)
-    leaves = [f, p.w_h, p.w_x, p.b]
+    leaves = [f, *p]
     copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
 
-    fused = F.rnn_forward(f, p)
-    unrolled = rnn_forward_unrolled(copies[0], F.RnnParams(*copies[1:]))
+    fused = F.rnn_forward(f, *p)
+    unrolled = rnn_forward_unrolled(*copies)
     np.testing.assert_allclose(fused.data, unrolled.data, rtol=0, atol=1e-12)
     (fused * w).sum().backward()
     (unrolled * w).sum().backward()
@@ -246,8 +244,7 @@ def test_rnn_fused_matches_unrolled_oracle(bsz):
 
 def test_rnn_gradient_check_with_input_grad():
     p, f, w = _rnn_case(31, 2, steps=4, c_in=2, h_dim=3)
-    rep = grad_check(lambda: (F.rnn_forward(f, p) * w).sum(),
-                     [f, p.w_h, p.w_x, p.b])
+    rep = grad_check(lambda: (F.rnn_forward(f, *p) * w).sum(), [f, *p])
     assert rep["max_rel_err"] < 1e-6
 
 
@@ -309,6 +306,28 @@ def test_dense_gradients_match_finite_differences(act):
     assert rep["max_rel_err"] < 1e-6
 
 
+@st.composite
+def _dense_shapes(draw):
+    """x [..., d_in], w [d_in, d_out] and a bias shape that broadcasts to the
+    output: a suffix of its shape with any sides set to 1."""
+    out = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    d_in = draw(st.integers(1, 3))
+    kept = out[len(out) - draw(st.integers(0, len(out))):]
+    bias = tuple(draw(st.sampled_from([1, n])) for n in kept)
+    return out[:-1] + (d_in,), (d_in, out[-1]), bias
+
+
+@settings(max_examples=30)
+@example(shapes=((2, 4, 3), (3, 2), (4, 2)), seed=0)   # bias plus positions
+@given(shapes=_dense_shapes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_broadcast_bias_gradient_matches_finite_differences(shapes, seed):
+    rng = np.random.default_rng(seed)
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes)
+    g = rng.standard_normal(shapes[0][:-1] + shapes[1][-1:])
+    rep = grad_check(lambda: (F.dense(x, w, b) * g).sum(), [x, w, b])
+    assert rep["max_rel_err"] < 1e-6
+
+
 def test_dense_rejects_bad_shapes_and_activation():
     x, w, b = _dense_leaves((5, 3), (4,), 44)
     with pytest.raises(ShapeError):
@@ -323,17 +342,17 @@ def test_dense_rejects_bad_shapes_and_activation():
 
 def test_bce_zero_logit_target_one():
     loss = F.bce_with_logits(Tensor(np.array([[0.0]])), np.array([[1.0]]))
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bce_large_margin_near_zero():
     loss = F.bce_with_logits(Tensor(np.array([[30.0]])), np.array([[1.0]]))
-    assert 0.0 <= loss.item() <= 1e-12
+    assert 0.0 <= float(loss.data) <= 1e-12
 
 
 def test_bce_hand_expansion():
     loss = F.bce_with_logits(Tensor(np.array([[0.0, 0.0]])), np.array([[1.0, 0.0]]))
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bce_nonnegative_random():
@@ -341,7 +360,7 @@ def test_bce_nonnegative_random():
     for _ in range(50):
         z = rng.standard_normal((3, 4)) * 20
         y = rng.integers(0, 2, (3, 4)).astype(float)
-        assert F.bce_with_logits(Tensor(z), y).item() >= 0.0
+        assert float(F.bce_with_logits(Tensor(z), y).data) >= 0.0
 
 
 def test_bce_rejects_non_binary_targets():
@@ -352,7 +371,7 @@ def test_bce_rejects_non_binary_targets():
 def test_bce_no_overflow_at_extreme_logits():
     loss = F.bce_with_logits(Tensor(np.array([[500.0, -500.0]])),
                              np.array([[0.0, 1.0]]))
-    assert loss.item() == pytest.approx(500.0, rel=1e-12)
+    assert float(loss.data) == pytest.approx(500.0, rel=1e-12)
 
 
 def test_bce_gradient_is_sigmoid_minus_target():

@@ -10,8 +10,9 @@ from hymad import functional as F
 from hymad import model as M
 from hymad.tensor import Tensor, _consumed, no_grad
 
-from oracles import (add_positional, attention_block_composed,
-                     attention_block_stored_p, grad_check, layer_norm_composed)
+from oracles import (add_positional, attention, attention_block_composed,
+                     attention_block_stored_p, grad_check,
+                     standardize_composed)
 
 
 def tiny_cfg(**kw):
@@ -62,31 +63,27 @@ def test_add_positional_gradient_is_identity():
     np.testing.assert_array_equal(e.grad, np.ones((3, 4)))
 
 
-# -- layer norm ---------------------------------------------------------------
-
-def _ln_case(seed, shape):
-    rng = np.random.default_rng(seed)
-    d = shape[-1]
-    leaves = [Tensor(rng.standard_normal(shape) * 3.0 + 1.0, requires_grad=True),
-              Tensor(rng.standard_normal(d), requires_grad=True),
-              Tensor(rng.standard_normal(d), requires_grad=True)]
-    return leaves, rng.standard_normal(shape)
-
+# -- standardiser -------------------------------------------------------------
 
 def test_layer_norm_matches_composed_oracle():
-    leaves, w = _ln_case(40, (2, 5, 6))
-    copies = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
-    fused, composed = M.layer_norm(*leaves), layer_norm_composed(*copies)
+    # the frontend's standardiser is a layer norm over each sample's entries
+    rng = np.random.default_rng(40)
+    y = Tensor(rng.standard_normal((2, 5, 6)) * 3.0 + 1.0, requires_grad=True)
+    y2 = Tensor(y.data.copy(), requires_grad=True)
+    w = rng.standard_normal(y.shape)
+    fused, composed = M.standardize(y, 1e-8), standardize_composed(y2, 1e-8)
+    assert fused._parents == (y,)
     np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
     (fused * w).sum().backward()
     (composed * w).sum().backward()
-    for got, want in zip(leaves, copies):
-        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y.grad, y2.grad, rtol=0, atol=1e-12)
 
 
 def test_layer_norm_gradient_check():
-    leaves, w = _ln_case(41, (3, 4))
-    rep = grad_check(lambda: (M.layer_norm(*leaves) * w).sum(), leaves)
+    rng = np.random.default_rng(41)
+    y = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    w = rng.standard_normal(y.shape)
+    rep = grad_check(lambda: (M.standardize(y, 1e-8) * w).sum(), [y])
     assert rep["max_rel_err"] < 1e-6
 
 
@@ -133,7 +130,7 @@ def test_self_attention_matches_composition_oracle():
     q = x @ p["self_freq.wq"].data
     k = x @ p["self_freq.wk"].data
     v = x @ p["self_freq.wv"].data
-    a = F.attention(Tensor(q), Tensor(k), Tensor(v)).data @ p["self_freq.wo"].data
+    a = attention(Tensor(q), Tensor(k), Tensor(v)).data @ p["self_freq.wo"].data
     z = x + a
     mu = z.mean(axis=-1, keepdims=True)
     var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -155,7 +152,7 @@ def test_cross_fuse_width_and_oracle():
         q = qsrc @ p[f"{prefix}.wq"].data
         k = kvsrc @ p[f"{prefix}.wk"].data
         v = kvsrc @ p[f"{prefix}.wv"].data
-        a = F.attention(Tensor(q), Tensor(k), Tensor(v)).data @ p[f"{prefix}.wo"].data
+        a = attention(Tensor(q), Tensor(k), Tensor(v)).data @ p[f"{prefix}.wo"].data
         z = qsrc + a
         mu = z.mean(axis=-1, keepdims=True)
         var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -274,7 +271,7 @@ def test_attention_closures_hold_no_probability_matrix(cross):
     q = Tensor(x.data.reshape(bsz, t_len, n_heads, 2).transpose(0, 2, 1, 3),
                requires_grad=True)
     for node in (M.attention_block(x, kv, p, "blk", n_heads),
-                 F.attention(q, q, q)):
+                 attention(q, q, q)):
         sizes = [a.size for a in _reachable_arrays(node._backward)]
         assert sizes and max(sizes) < bsz * n_heads * t_len * t_len
 
@@ -308,11 +305,11 @@ def _graph_nodes(root) -> list:
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 64), ({"branches": 3}, 75), ({"fusion_mode": "concat"}, 50),
-], ids=["default-64", "branches3-75", "concat-50"])
+    ({}, 60), ({"branches": 3}, 71), ({"fusion_mode": "concat"}, 46),
+], ids=["default-60", "branches3-71", "concat-46"])
 def test_training_graph_size(overrides, limit):
-    # each sinc bank, attention block, affine layer and the frontend energy is
-    # one node; a change that splits one back into primitives grows the graph
+    # each sinc bank, attention block, affine layer, the frontend energy and
+    # its standardiser is one node; a change that splits one back into primitives grows the graph
     # past the limit
     cfg = M.ModelConfig(**overrides)
     p = M.init_params(cfg, seed=0)

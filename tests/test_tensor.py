@@ -1,12 +1,18 @@
+import ast
+import sys
+from pathlib import Path
 from types import MemberDescriptorType
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
+import hymad
 from hymad.errors import ShapeError
 from hymad.tensor import Tensor, concat, no_grad
 
-from oracles import clip, matmul, tanh
+from oracles import clip, grad_check, matmul, tanh
 
 
 def test_matmul_identity():
@@ -106,6 +112,23 @@ def test_broadcast_add_backward():
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
 
+@settings(max_examples=40)
+@example(op="add", shapes=((3,), (4, 3)), seed=0)   # bias plus positions
+@given(op=st.sampled_from(["add", "mul"]),
+       shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3)
+       .map(lambda s: s.input_shapes),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_broadcast_gradients_match_finite_differences(op, shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes)
+    w = rng.standard_normal(np.broadcast_shapes(*shapes))
+
+    def f():
+        return ((a + b if op == "add" else a * b) * w).sum()
+
+    assert grad_check(f, [a, b])["max_rel_err"] < 1e-6
+
+
 @pytest.mark.parametrize("op", ["add", "mul"])
 @pytest.mark.parametrize("const_first", [False, True], ids=["const-right", "const-left"])
 def test_constant_operand_gets_no_gradient(op, const_first):
@@ -150,22 +173,84 @@ def test_mean_axis_backward():
     np.testing.assert_allclose(x.grad, np.full((3, 4), 0.25))
 
 
-# What src/hymad calls on a Tensor.  `sum`, `*` and `item` have no package
-# caller but stay: the tests' scalar roots and the benchmark's tracer use them.
-PACKAGE_API = {"__add__", "backward", "mean", "ndim", "reshape", "shape",
-               "swapaxes"}
-ROOT_API = {"__mul__", "item", "sum"}
+# What src/hymad calls on a Tensor.  `*` and `sum` have no package caller but
+# stay: the tests' scalar roots and the benchmark's tracer use them.
+PACKAGE_API = {"__add__", "backward", "mean", "ndim", "shape"}
+ROOT_API = {"__mul__", "sum"}
+PACKAGE_DIR = Path(hymad.__file__).resolve().parent
 
 
-def test_public_api_is_what_the_package_uses():
-    # primitives only the test oracles need live in oracles.py; a package
-    # method added back without a package caller fails here
-    public = {name for name, v in vars(Tensor).items()
-              if not isinstance(v, MemberDescriptorType)
-              and (not name.startswith("_")
-                   or (name.startswith("__") and callable(v)
-                       and name not in ("__init__", "__repr__")))}
-    assert public == PACKAGE_API | ROOT_API
+def _public_surface() -> set:
+    return {name for name, v in vars(Tensor).items()
+            if not isinstance(v, MemberDescriptorType)
+            and (not name.startswith("_")
+                 or (name.startswith("__") and callable(v)
+                     and name not in ("__init__", "__repr__")))}
+
+
+def test_public_api_is_what_the_package_uses(monkeypatch):
+    # record each public method or property the package calls during a
+    # training step and a prediction; primitives only the test oracles need
+    # live in oracles.py, and a method added back without a package caller
+    # fails here
+    from hymad import model as M
+    from hymad import train as T
+    from hymad.optim import AdamW
+
+    seen = set()
+
+    def observed(name, fn):
+        def wrapper(*args, **kwargs):
+            caller = Path(sys._getframe(1).f_code.co_filename).resolve()
+            if caller.parent == PACKAGE_DIR:
+                seen.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    surface = _public_surface()
+    for name in surface:
+        attr = vars(Tensor)[name]
+        monkeypatch.setattr(Tensor, name, property(observed(name, attr.fget))
+                            if isinstance(attr, property) else observed(name, attr))
+    cfg = M.ModelConfig(n_filters=4, kernel_len=17, pool_stride=16,
+                        conv_stride=4, rnn_hidden=8, d_model=8,
+                        mlp_hidden=(16,), input_len=256)
+    params = M.init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, cfg.input_len))
+    y = rng.integers(0, 2, (3, cfg.n_labels)).astype(np.float64)
+    T.train_step(list(x), y, np.arange(3), cfg, params,
+                 AdamW(list(params.values()), lr=1e-2))
+    T.predict_scores(x, cfg, params)
+    assert seen == PACKAGE_API
+    assert surface == PACKAGE_API | ROOT_API
+
+
+def _referenced_names(path: Path) -> set:
+    """Names a module uses as a Name, an Attribute or an import alias; text in
+    docstrings and comments does not count."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+    return refs
+
+
+def test_every_public_package_name_has_a_caller():
+    # a public module-level function or class that neither the package nor
+    # the benchmark references is a test oracle and belongs in oracles.py
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    bench = sorted((PACKAGE_DIR.parents[1] / "perfbench").glob("*.py"))
+    refs = set().union(*(_referenced_names(p) for p in sources + bench))
+    unused = [f"{p.stem}.{node.name}" for p in sources
+              for node in ast.parse(p.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in refs]
+    assert unused == []
 
 
 @pytest.mark.parametrize("axis, keepdims", [(None, False), (0, False), (-1, True)])

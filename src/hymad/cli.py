@@ -75,6 +75,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.ablate and (args.checkpoint is not None
+                        or args.threshold is not None):
+        raise ConfigError("--ablate trains its own models and takes no "
+                          "--checkpoint or --threshold")
     _, model_cfg, train_cfg = load_config(args.config)
     data_dir = Path(args.dataset)
     dataset = datagen.load_dataset(data_dir)

@@ -35,23 +35,13 @@ def _convert(raw: str, target_type, key: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def _field_type(f):
-    # annotations are strings under `from __future__ import annotations`
-    ann = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "str")
-    for name, t in (("tuple", tuple), ("int", int), ("float", float),
-                    ("str", str)):
-        if name in ann:
-            return t
-    return type(f.default)
-
-
 def _populate(cls, section: str, values: dict[str, str]):
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, raw in values.items():
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key}")
-        kwargs[key] = _convert(raw, _field_type(known[key]), f"{section}.{key}")
+        kwargs[key] = _convert(raw, type(known[key].default), f"{section}.{key}")
     return cls(**kwargs)
 
 

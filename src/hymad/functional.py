@@ -170,16 +170,17 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     -(L-1)/2 .. (L-1)/2.  Output [B, C, P], P = T/stride:
     y[b, c, p] = sum_n x[b, pS-n] k[c, n], zero-padded at the edges.
 
-    The convolution is one banded GEMM.  Each run of Q = max(1, L // 2S)
-    consecutive outputs reads one contiguous segment of G = (Q-1)S + L padded
-    samples, so the segments [b * ceil(P/Q), G] times a band [G, Q C] that
-    holds the reversed kernels at row offsets 0, S, .., (Q-1)S give every
-    output at once.  With this Q the band is about 2/3 nonzero, and the
-    segments copy each sample about 3 times instead of the L/S times of a
-    per-output patch matrix.  The result is written channels-last, [B, P, C],
-    and returned as its [B, C, P] view.  The batch runs in chunks, so the
-    segment copies stay small; the backward takes them again from `x` and
-    folds the band gradient's Q diagonal blocks into the kernel gradient.
+    The convolution is one banded GEMM.  Each run of Q consecutive outputs
+    reads one contiguous segment of G = (Q-1)S + L padded samples, so the
+    segments [b * P/Q, G] times a band [G, Q C] that holds the reversed
+    kernels at row offsets 0, S, .., (Q-1)S give every output at once.  Q is
+    the largest divisor of P that is at most max(1, L // 2S), so the segments
+    tile the outputs exactly; at Q = L // 2S the band is about 2/3 nonzero,
+    and the segments copy each sample about 3 times instead of the L/S times
+    of a per-output patch matrix.  The result is written channels-last,
+    [B, P, C], and returned as its [B, C, P] view.  The batch runs in chunks,
+    so the segment copies stay small; the backward takes them again from `x`
+    and folds the band gradient's Q diagonal blocks into the kernel gradient.
     Only the kernels get a gradient: the waveforms are data, so an `x` that
     requires one is rejected.
     """
@@ -197,10 +198,10 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
         raise ShapeError(f"length {t_len} not divisible by conv stride {stride}")
     half = (l_len - 1) // 2
     n_out = t_len // stride
-    q = max(1, l_len // (2 * stride))       # outputs per segment
-    n_seg = -(-n_out // q)
+    q = max(d for d in range(1, max(1, l_len // (2 * stride)) + 1)
+            if n_out % d == 0)               # outputs per segment
+    n_seg = n_out // q
     seg_len = (q - 1) * stride + l_len
-    pad_len = max(t_len + l_len - 1, (n_seg * q - 1) * stride + l_len)
     blocks = [np.s_[i * stride:i * stride + l_len, i * n_filt:(i + 1) * n_filt]
               for i in range(q)]
 
@@ -210,12 +211,12 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
         band[blk] = kd[:, ::-1].T
 
     def _segments(rows):
-        xpad = np.zeros((rows.shape[0], pad_len))
+        xpad = np.zeros((rows.shape[0], t_len + l_len - 1))
         xpad[:, half:half + t_len] = rows
         view = np.lib.stride_tricks.sliding_window_view(xpad, seg_len, axis=1)
-        return view[:, :n_seg * q * stride:q * stride].reshape(-1, seg_len)
+        return view[:, ::q * stride].reshape(-1, seg_len)
 
-    out = np.empty((bsz, n_seg * q, n_filt))     # the last segment's tail is cut
+    out = np.empty((bsz, n_out, n_filt))
     for i in range(0, bsz, chunk):
         b = min(chunk, bsz - i)
         np.matmul(_segments(xd[i:i + b]), band,
@@ -223,19 +224,14 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
 
     def back(g):
         gband = np.zeros_like(band)
-        if n_out != n_seg * q:              # zero gradient for padded outputs
-            gpad = np.zeros((min(chunk, bsz), n_seg * q, n_filt))
         for i in range(0, bsz, chunk):
             b = min(chunk, bsz - i)
             gt = g[i:i + b].swapaxes(1, 2)
-            if n_out != n_seg * q:
-                gpad[:b, :n_out] = gt
-                gt = gpad[:b]
             gband += _segments(xd[i:i + b]).T @ gt.reshape(b * n_seg, q * n_filt)
         gk = sum(gband[blk] for blk in blocks)
         return (gk.T[:, ::-1],)
 
-    return Tensor._result(out[:, :n_out].swapaxes(1, 2), (kernels,), back)
+    return Tensor._result(out.swapaxes(1, 2), (kernels,), back)
 
 
 def log_pool_energy(y: Tensor, pool: int, eps: float) -> Tensor:

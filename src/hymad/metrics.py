@@ -51,17 +51,8 @@ def _macro(counts) -> tuple[float, float, float]:
 
 def _rankdata(a: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size)
-    sorted_a = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
 
 
 def label_auroc(scores: np.ndarray, truth: np.ndarray) -> float | None:
@@ -104,26 +95,17 @@ def curve_points(scores: np.ndarray, truth: np.ndarray,
 
     order = np.argsort(-scores, kind="mergesort")
     s_sorted = scores[order]
-    y_sorted = truth[order]
-    points = []
+    # each run of equal scores is one step, thresholded at its first element
+    first = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
+    seen = np.r_[first[1:], truth.size]       # samples at or above each step
+    tp = np.cumsum(truth[order])[seen - 1]
+    fp = seen - tp
     if kind == "roc":
-        points.append((0.0, 0.0, float("inf")))
-    tp = fp = 0
-    i = 0
-    n = truth.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i:j + 1].sum())
-        fp += (j - i + 1) - int(y_sorted[i:j + 1].sum())
-        thr = float(s_sorted[i])
-        if kind == "roc":
-            points.append((fp / n_neg, tp / n_pos, thr))
-        else:
-            points.append((tp / n_pos, tp / (tp + fp), thr))
-        i = j + 1
-    return points
+        x, y = fp / n_neg, tp / n_pos
+    else:
+        x, y = tp / n_pos, tp / seen
+    points = [(0.0, 0.0, float("inf"))] if kind == "roc" else []
+    return points + list(zip(x.tolist(), y.tolist(), s_sorted[first].tolist()))
 
 
 @dataclass
@@ -157,10 +139,8 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def compute_report(pred, truth, scores=None) -> MetricsReport:
+def compute_report(pred, truth, scores) -> MetricsReport:
     pred, truth = _check_pair(pred, truth)
-    if scores is None:
-        scores = pred.astype(np.float64)
     counts = _confusions(pred, truth)
     p, r, f = _macro(counts)
     aucs = [label_auroc(np.asarray(scores)[:, j], truth[:, j])

@@ -17,7 +17,8 @@ import numpy as np
 from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
-from hymad.sincnet import bank_kernels, init_filterbank
+from hymad.sincnet import (INIT_STRATEGIES, MIN_BAND_HZ, bank_kernels,
+                           init_filterbank)
 from hymad.tensor import Tensor, concat
 
 FUSION_MODES = ("cross_attention", "concat", "freq_only", "temp_only")
@@ -69,12 +70,15 @@ class ModelConfig:
                 f"model.n_labels must be {len(CLASSES)}, got {self.n_labels}")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"model.threshold must lie in (0, 1), got {self.threshold}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"model.fusion_mode must be one of {FUSION_MODES}")
-        if self.frontend not in FRONTENDS:
-            raise ConfigError(f"model.frontend must be one of {FRONTENDS}")
-        if self.window not in WINDOWS:
-            raise ConfigError(f"model.window must be one of {WINDOWS}")
+        for name, allowed in (("fusion_mode", FUSION_MODES),
+                              ("frontend", FRONTENDS), ("window", WINDOWS),
+                              ("init_strategy", tuple(INIT_STRATEGIES))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"model.{name} must be one of {allowed}")
+        # below 2 MIN_BAND_HZ no sinc band fits under fs/2
+        if not 2.0 * MIN_BAND_HZ <= self.fs < math.inf:
+            raise ConfigError(f"model.fs must be finite and >= "
+                              f"{2.0 * MIN_BAND_HZ}, got {self.fs}")
         if self.input_len % self.pool_stride != 0:
             raise ConfigError(
                 f"model.pool_stride ({self.pool_stride}) must divide "

@@ -15,17 +15,18 @@ from hymad.errors import ConfigError
 from hymad.tensor import Tensor
 
 MIN_BAND_HZ = 1.0
+# init strategy -> fs over the top band edge of its initial filter bank
+INIT_STRATEGIES = {"linear": 2.0, "low-band": 8.0}
 
 
-def constrain_cutoffs(theta1, theta2, fs: float,
-                      min_band: float = MIN_BAND_HZ) -> tuple[np.ndarray, np.ndarray]:
+def constrain_cutoffs(theta1, theta2, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Map raw parameters to ordered cutoffs in Hz.
 
-    f1 = |theta1| and f2 = f1 + min_band + |theta2|, clamped into [0, fs/2]
-    so that f1 < f2 always holds.  Total for any real thetas.
+    f1 = |theta1| and f2 = f1 + MIN_BAND_HZ + |theta2|, clamped into
+    [0, fs/2] so that f1 < f2 always holds.  Total for any real thetas.
     """
-    f1 = np.clip(np.abs(theta1), 0.0, fs / 2.0 - min_band)
-    f2 = np.clip(f1 + min_band + np.abs(theta2), None, fs / 2.0)
+    f1 = np.clip(np.abs(theta1), 0.0, fs / 2.0 - MIN_BAND_HZ)
+    f2 = np.clip(f1 + MIN_BAND_HZ + np.abs(theta2), None, fs / 2.0)
     return f1, f2
 
 
@@ -75,7 +76,7 @@ def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int, fs: float = 8000.0,
     """All C kernels [C, L] of a bank's raw [C] thetas, as one node.
 
     The backward is closed-form: each lowpass row has d/dg = 2*cos(2*pi*g*n)
-    with g = f/fs, f2 depends on f1 through f2 = f1 + min_band + |theta2|,
+    with g = f/fs, f2 depends on f1 through f2 = f1 + MIN_BAND_HZ + |theta2|,
     each clamp of `constrain_cutoffs` passes gradient only strictly inside
     its bounds, and |theta| contributes sign(theta), which is 0 at 0.
     """
@@ -111,13 +112,9 @@ def init_filterbank(n_filters: int, fs: float = 8000.0,
     """
     if n_filters < 1:
         raise ConfigError(f"n_filters must be >= 1, got {n_filters}")
-    if strategy == "linear":
-        top = fs / 2.0
-    elif strategy == "low-band":
-        top = fs / 8.0
-    else:
+    if strategy not in INIT_STRATEGIES:
         raise ConfigError(f"unknown init strategy {strategy!r}")
-    edges = np.linspace(0.0, top, n_filters + 1)
+    edges = np.linspace(0.0, fs / INIT_STRATEGIES[strategy], n_filters + 1)
     f1 = edges[:-1]
     f2 = edges[1:]
     return (Tensor(f1.copy(), requires_grad=True),

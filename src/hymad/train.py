@@ -32,11 +32,15 @@ class TrainConfig:
     weight_decay: float = 0.01
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
-    early_stop_exact: float | None = None  # stop once val exact-match reaches this
+    early_stop_exact: float = math.inf  # stop once val exact-match reaches this
 
     def validate(self):
-        if self.lr < 0:
-            raise ConfigError(f"train.lr must be >= 0, got {self.lr}")
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"train.{name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"train.eps must be finite and > 0, got {self.eps}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -54,7 +58,6 @@ class RunRecord:
     digests: list = field(default_factory=list)          # per-epoch param digest
     wall_time: float = 0.0
     best_epoch: int = -1
-    lr_used: float = 0.0
 
 
 def params_digest(params: dict[str, Tensor]) -> str:
@@ -129,13 +132,14 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[i:i + batch_size]
 
 
-def predict_scores(x: np.ndarray, cfg: M.ModelConfig, params: dict,
-                   batch_size: int = 64) -> np.ndarray:
-    """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph."""
+def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
+                   params: dict) -> np.ndarray:
+    """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph,
+    over batches of PREDICT_ROWS waveforms."""
     out = []
     with no_grad():
-        for i in range(0, x.shape[0], batch_size):
-            logits = M.forward_batch(x[i:i + batch_size], cfg, params)
+        for i in range(0, x.shape[0], PREDICT_ROWS):
+            logits = M.forward_batch(x[i:i + PREDICT_ROWS], cfg, params)
             out.append(sigmoid(logits.data))
     return np.concatenate(out, axis=0)
 
@@ -178,6 +182,7 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
 # the B=32 batches of small-config runs and slow them; at 64 rows a default
 # step's graph again outgrows the rest of a training run's memory.
 STEP_ROWS = 32
+PREDICT_ROWS = 64   # waveforms per no-grad forward pass of predict_scores
 
 
 def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
@@ -227,7 +232,7 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     opt = AdamW(params.values(), lr=train_cfg.lr, betas=train_cfg.betas,
                 eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng([train_cfg.seed, 0x7E])
-    record = RunRecord(lr_used=train_cfg.lr)
+    record = RunRecord()
     best_exact = -1.0
     t0 = time.time()
 
@@ -249,8 +254,7 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
             if out_dir is not None:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
                 save_checkpoint(Path(out_dir) / "best.ckpt", cfg, params)
-        if (train_cfg.early_stop_exact is not None
-                and report.strict_match >= train_cfg.early_stop_exact):
+        if report.strict_match >= train_cfg.early_stop_exact:
             break
 
     record.wall_time = time.time() - t0
@@ -259,7 +263,7 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "final.ckpt", cfg, final)
-        lines = [f"lr = {record.lr_used!r}", f"best_epoch = {record.best_epoch}",
+        lines = [f"lr = {train_cfg.lr!r}", f"best_epoch = {record.best_epoch}",
                  f"wall_time = {record.wall_time:.1f}", "[epochs]"]
         for e, (loss, dig) in enumerate(zip(record.losses, record.digests)):
             lines.append(f"{e}\t{loss!r}\t{dig}")

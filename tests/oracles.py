@@ -465,6 +465,53 @@ def trapezoid_area(points: list[tuple[float, float, float]]) -> float:
     return float(np.trapezoid(ys, xs))
 
 
+def rankdata_loop(a: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based), ties sharing their mean rank, by walking the
+    stably sorted values one tie run at a time."""
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(a.size)
+    sorted_a = a[order]
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def curve_points_loop(scores: np.ndarray, truth: np.ndarray,
+                      kind: str) -> list[tuple[float, float, float]]:
+    """ROC or PR (x, y, threshold) points of one non-degenerate label column,
+    one step per run of equal scores in descending order, by a loop over the
+    samples that counts true and false positives as it goes."""
+    truth = np.asarray(truth).astype(bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    order = np.argsort(-scores, kind="mergesort")
+    s_sorted = scores[order]
+    y_sorted = truth[order]
+    points = [(0.0, 0.0, float("inf"))] if kind == "roc" else []
+    tp = fp = 0
+    i = 0
+    n = truth.size
+    while i < n:
+        j = i
+        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        tp += int(y_sorted[i:j + 1].sum())
+        fp += (j - i + 1) - int(y_sorted[i:j + 1].sum())
+        thr = float(s_sorted[i])
+        if kind == "roc":
+            points.append((fp / n_neg, tp / n_pos, thr))
+        else:
+            points.append((tp / n_pos, tp / (tp + fp), thr))
+        i = j + 1
+    return points
+
+
 def grad_check(f: Callable[[], Tensor], params: list[Tensor],
                eps: float = 1e-5) -> dict:
     """Compare analytic gradients of a scalar function against central differences.

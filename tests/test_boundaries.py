@@ -1,5 +1,6 @@
 """File-boundary probes: a truncated, corrupt or padded dataset or checkpoint
-raises CompatibilityError, and the untouched files still load.
+raises CompatibilityError, and the untouched files still load, bit for bit,
+whatever the config or the parameter values.
 
 The module fixtures hold file contents as bytes; each example writes its
 files under `tempfile`, because hypothesis runs many examples inside one call
@@ -133,6 +134,34 @@ def test_manifest_cut_inside_its_last_line_is_rejected(files):
         assert_dataset_rejected(files, manifest=files["manifest"][:-cut])
 
 
+def record_fields(ds) -> list[dict]:
+    return [{**vars(r), "labels": r.labels.tolist()} for r in ds.records]
+
+
+@settings(max_examples=6)
+@given(st.integers(3, 5), st.data())
+def test_dataset_round_trip_over_configs(n, data):
+    # whole source counts per split, so no split is empty
+    n_val = data.draw(st.integers(1, n - 2), label="val sources")
+    n_test = data.draw(st.integers(1, n - 1 - n_val), label="test sources")
+    lo = data.draw(st.floats(0.1, 2.0), label="scale_lo")
+    cfg = D.DatasetConfig(
+        n_per_class=n, ratios=((n - n_val - n_test) / n, n_val / n, n_test / n),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+        delay_max=data.draw(st.integers(0, D.SEGMENT_LEN // 2), label="delay_max"),
+        scale_lo=lo, scale_hi=lo * data.draw(st.floats(1.0, 4.0), label="spread"))
+    ds = D.build_dataset(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        D.save_dataset(ds, tmp)
+        loaded = D.load_dataset(tmp)
+        assert D.verify_shards(tmp)
+    assert loaded.config == cfg
+    assert record_fields(loaded) == record_fields(ds)
+    assert loaded.waves.keys() == ds.waves.keys()
+    for sid, wave in ds.waves.items():
+        assert loaded.waves[sid].tobytes() == wave.tobytes()
+
+
 # -- checkpoints ----------------------------------------------------------------
 
 def tiny_model():
@@ -188,6 +217,32 @@ def test_checkpoint_cut_at_every_structural_offset_is_rejected(checkpoint):
 def test_checkpoint_trailing_bytes_are_rejected(checkpoint, extra):
     with pytest.raises(CompatibilityError, match="trailing"):
         load_checkpoint_bytes(checkpoint + extra)
+
+
+# float64 bit patterns mixed into the draws: quiet and signalling NaNs with
+# payloads and either sign, +-inf, +-0.0, the smallest and largest subnormals
+# and the largest finite value
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x0, 0x8000000000000000,
+                0x1, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
+
+
+@probe
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS),
+                          st.integers(0, 2 ** 64 - 1)), min_size=1, max_size=32),
+       st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_round_trip_keeps_any_bit_pattern(bits, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array(bits, dtype=np.uint64)
+    params = {name: Tensor(rng.choice(pool, t.shape).view(np.float64))
+              for name, t in M.init_params(tiny_model(), seed=0).items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        T.save_checkpoint(path, tiny_model(), params)
+        loaded = T.load_checkpoint(path, tiny_model())
+    assert loaded.keys() == params.keys()
+    for name, t in params.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes()
 
 
 def test_checkpoint_of_other_values_loads(checkpoint):

@@ -207,7 +207,8 @@ def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("POOL_STRIDE", "0"), ("N_HEADS", "0"), ("BRANCHES", "0"),
     ("BRANCHES", "4"), ("N_FILTERS", "0"), ("D_MODEL", "-2"),
-    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0")])
+    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0"), ("INIT_STRATEGY", "bogus"),
+    ("FS", "0"), ("FS", "1.5")])
 def test_bad_model_size_is_one_line_config_error(
         workspace, tmp_path, capsys, monkeypatch, key, value):
     _, cfg = workspace
@@ -221,16 +222,20 @@ def test_bad_model_size_is_one_line_config_error(
     assert not (tmp_path / "d").exists()
 
 
-def test_adam_beta_of_one_is_config_error(workspace, tmp_path, capsys):
-    root, _ = workspace
-    bad = tmp_path / "bad.ini"
-    bad.write_text(MICRO_CONFIG + "betas = 1.0,0.999\n")
-    rc = cli.main(["train", "--config", str(bad),
+@pytest.mark.parametrize("key, value", [
+    ("BETAS", "1.0,0.999"), ("LR", "nan"), ("LR", "inf"), ("LR", "-1"),
+    ("WEIGHT_DECAY", "nan"), ("WEIGHT_DECAY", "-0.1"), ("EPS", "0"),
+    ("EPS", "-1"), ("EPS", "inf")])
+def test_bad_train_value_is_one_line_config_error(
+        workspace, tmp_path, capsys, monkeypatch, key, value):
+    root, cfg = workspace
+    monkeypatch.setenv(f"HYMAD_TRAIN_{key}", value)
+    rc = cli.main(["train", "--config", str(cfg),
                    "--dataset", str(root / "data"),
                    "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("config error: train.betas")
+    assert err.startswith(f"config error: train.{key.lower()}")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "run" / "final.ckpt").exists()
 
@@ -276,6 +281,21 @@ def test_evaluate_without_checkpoint_is_config_error(workspace, tmp_path, capsys
                    "--out", str(tmp_path / "e")])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--checkpoint", "missing.ckpt"],
+                                   ["--threshold", "0.5"],
+                                   ["--threshold", "5"]])
+def test_ablate_with_checkpoint_or_threshold_is_config_error(
+        workspace, tmp_path, capsys, extra):
+    root, cfg = workspace
+    rc = cli.main(["evaluate", "--config", str(cfg), "--ablate", *extra,
+                   "--dataset", str(root / "data"), "--out", str(tmp_path / "abl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: --ablate")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "abl" / "ablation_table.txt").exists()
 
 
 def test_ablate_reports_four_variants(workspace, capsys):
@@ -368,8 +388,10 @@ def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, ex
     model_cfg = load_config(cfg)[1]
     T.save_checkpoint(ckpt, model_cfg, M.init_params(model_cfg, seed=0))
     damage(data, ckpt)
-    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
-                   "--dataset", str(data), "--out", str(tmp_path / "e"), *extra])
+    # --ablate trains its own models and takes no checkpoint
+    model_args = extra if "--ablate" in extra else ["--checkpoint", str(ckpt)]
+    rc = cli.main(["evaluate", "--config", str(cfg), *model_args,
+                   "--dataset", str(data), "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith("compatibility error: ")

@@ -565,8 +565,10 @@ class TestConvStrided:
 
 
 # The explicit examples reach the segment edge cases whatever the draws:
-# L < stride (one output per segment), T < L, P not a multiple of the
-# segment's output count Q = max(1, L // 2S), and a partial last chunk.
+# L < stride (one output per segment), T < L, a P that max(1, L // 2S) does
+# not divide, so that the segment's output count Q, the largest divisor of P
+# up to that bound, drops below it (to 1 for the prime P = 13), and a partial
+# last chunk.
 @settings(max_examples=40)
 @given(bsz=st.integers(1, 4), n_filt=st.integers(1, 3), half=st.integers(0, 20),
        stride=st.integers(1, 12), n_out=st.integers(1, 24),

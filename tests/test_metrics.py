@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hymad.errors import ShapeError
 from hymad import metrics as MT
 
-from oracles import macro_prf1, trapezoid_area
+from oracles import curve_points_loop, macro_prf1, rankdata_loop, trapezoid_area
 
 
 # -- strict / hamming ---------------------------------------------------------
@@ -198,6 +198,26 @@ def test_roc_trapezoid_area_equals_rank_auroc():
         pts = MT.curve_points(s, y, "roc")
         assert trapezoid_area(pts) == pytest.approx(MT.label_auroc(s, y),
                                                        abs=1e-9)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_tie_grouped_sweeps_match_loop_oracles(data):
+    # few distinct levels force long tie runs; -0.0 and 0.0 tie, and the
+    # threshold of a run is its first element in descending order
+    levels = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                          st.floats(-2.0, 2.0)),
+                                min_size=1, max_size=4), label="levels")
+    n = data.draw(st.integers(2, 60), label="n")
+    s = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n,
+                                    max_size=n), label="scores"))
+    y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                           label="truth"))
+    assert repr(MT._rankdata(s).tolist()) == repr(rankdata_loop(s).tolist())
+    if 0 < y.sum() < n:
+        for kind in ("roc", "pr"):
+            assert repr(MT.curve_points(s, y, kind)) == \
+                repr(curve_points_loop(s, y, kind))
 
 
 def test_pr_curve_ends_at_full_recall_with_prevalence_precision():

@@ -79,6 +79,8 @@ def cmd_evaluate(args) -> int:
                         or args.threshold is not None):
         raise ConfigError("--ablate trains its own models and takes no "
                           "--checkpoint or --threshold")
+    if not args.ablate and args.checkpoint is None:
+        raise ConfigError("--checkpoint is required unless --ablate is given")
     _, model_cfg, train_cfg = load_config(args.config)
     data_dir = Path(args.dataset)
     dataset = datagen.load_dataset(data_dir)
@@ -92,10 +94,6 @@ def cmd_evaluate(args) -> int:
         print(table, end="")
         return EXIT_OK
 
-    if args.checkpoint is None:
-        print("error: --checkpoint is required unless --ablate is given",
-              file=sys.stderr)
-        return EXIT_CONFIG
     params = T.load_checkpoint(args.checkpoint, model_cfg)
     T.evaluate(dataset, args.split, params, model_cfg,
                threshold=args.threshold, out_dir=out)

@@ -14,9 +14,6 @@ from hymad.errors import NumericError, ShapeError
 from hymad.tensor import Tensor, _unbroadcast
 
 
-BATCH_CHUNK = 16   # batch rows per block of the chunked kernels
-
-
 def _softmax_(p: np.ndarray, m=None, l=None, saved: bool = False) -> np.ndarray:
     """Row-wise softmax over the last axis of `p`, in place, stabilized by max
     subtraction; NaN input raises NumericError (the row max propagates it).
@@ -161,8 +158,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
-                   chunk: int = BATCH_CHUNK) -> Tensor:
+def conv1d_strided(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
     """Same-padded 1-d convolution of signals with a filter bank, evaluated at
     every `stride`-th lag.
 
@@ -178,9 +174,10 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     tile the outputs exactly; at Q = L // 2S the band is about 2/3 nonzero,
     and the segments copy each sample about 3 times instead of the L/S times
     of a per-output patch matrix.  The result is written channels-last,
-    [B, P, C], and returned as its [B, C, P] view.  The batch runs in chunks,
-    so the segment copies stay small; the backward takes them again from `x`
-    and folds the band gradient's Q diagonal blocks into the kernel gradient.
+    [B, P, C], and returned as its [B, C, P] view.  The whole batch is one
+    GEMM, so the caller bounds the rows and with them the [B P/Q, G] segment
+    copy; the backward takes the segments again from `x` and folds the band
+    gradient's Q diagonal blocks into the kernel gradient.
     Only the kernels get a gradient: the waveforms are data, so an `x` that
     requires one is rejected.
     """
@@ -210,24 +207,18 @@ def conv1d_strided(x: Tensor, kernels: Tensor, stride: int,
     for blk in blocks:
         band[blk] = kd[:, ::-1].T
 
-    def _segments(rows):
-        xpad = np.zeros((rows.shape[0], t_len + l_len - 1))
-        xpad[:, half:half + t_len] = rows
+    def _segments():
+        xpad = np.zeros((bsz, t_len + l_len - 1))
+        xpad[:, half:half + t_len] = xd
         view = np.lib.stride_tricks.sliding_window_view(xpad, seg_len, axis=1)
         return view[:, ::q * stride].reshape(-1, seg_len)
 
     out = np.empty((bsz, n_out, n_filt))
-    for i in range(0, bsz, chunk):
-        b = min(chunk, bsz - i)
-        np.matmul(_segments(xd[i:i + b]), band,
-                  out=out[i:i + b].reshape(b * n_seg, q * n_filt))
+    np.matmul(_segments(), band, out=out.reshape(bsz * n_seg, q * n_filt))
 
     def back(g):
-        gband = np.zeros_like(band)
-        for i in range(0, bsz, chunk):
-            b = min(chunk, bsz - i)
-            gt = g[i:i + b].swapaxes(1, 2)
-            gband += _segments(xd[i:i + b]).T @ gt.reshape(b * n_seg, q * n_filt)
+        gt = g.swapaxes(1, 2).reshape(bsz * n_seg, q * n_filt)
+        gband = _segments().T @ gt
         gk = sum(gband[blk] for blk in blocks)
         return (gk.T[:, ::-1],)
 

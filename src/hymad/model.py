@@ -165,11 +165,11 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     `kv is x`).  The input projection is one [d, 3d] matrix
     [Wq / sqrt(d_k) | Wk | Wv], applied as one GEMM for self-attention and as
     two (queries, keys and values) for cross-attention; heads are strided
-    views of its output.  Attention runs over batch chunks of
-    `F.BATCH_CHUNK`, with the softmax rows in one chunk-sized scratch buffer.
-    The node saves the projections, the attention output, the normalised
-    residual and each softmax row's max and sum; the backward recomputes
-    each chunk's probabilities from these, bit for bit.
+    views of its output.  Attention runs over the whole batch at once, with
+    the softmax rows in one [B, h, T, T] scratch buffer, so the caller bounds
+    the rows and with them that buffer.  The node saves the projections, the
+    attention output, the normalised residual and each softmax row's max and
+    sum; the backward recomputes the probabilities from these, bit for bit.
     """
     x, kv = Tensor._coerce(x), Tensor._coerce(kv)
     if kv.shape != x.shape:
@@ -197,13 +197,7 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     o = np.empty((bsz, t_len, d))
     o_h = heads(o, 0)
     stats = np.empty((2, bsz, n_heads, t_len, 1))     # softmax row max, sum
-    chunks = [slice(i, min(i + F.BATCH_CHUNK, bsz))
-              for i in range(0, bsz, F.BATCH_CHUNK)]
-    p_shape = (min(F.BATCH_CHUNK, bsz), n_heads, t_len, t_len)
-    p = np.empty(p_shape)
-    for c in chunks:
-        F.sdpa_forward(*(a[c] for a in qkv), p[:c.stop - c.start], o_h[c],
-                       *(s[c] for s in stats))
+    F.sdpa_forward(*qkv, np.empty((bsz, n_heads, t_len, t_len)), o_h, *stats)
     xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
     xhat += x.data
     inv = _normalize_(xhat, 1e-6)
@@ -216,10 +210,8 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
         go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
         gproj = np.empty_like(proj)
         gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
-        p = np.empty(p_shape)
-        for c in chunks:
-            F.sdpa_backward(*(a[c] for a in qkv), p[:c.stop - c.start], o_h[c],
-                            *(s[c] for s in stats), go_h[c], *(a[c] for a in gqkv))
+        F.sdpa_backward(*qkv, np.empty((bsz, n_heads, t_len, t_len)), o_h,
+                        *stats, go_h, *gqkv)
         gp2 = gproj.reshape(-1, 3 * d)
         g_w = np.empty_like(w_in)
         g_src = []

@@ -132,14 +132,26 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[i:i + batch_size]
 
 
+# Rows per forward pass, training or not, and the one bound on the rows the
+# layers see: the convolution and attention kernels run whatever batch they
+# are handed in one go, so this bounds their segment copies and [B, h, T, T]
+# softmax buffers.  A training step runs its batch as consecutive
+# microbatches of at most this many rows, so the live graph is that of 32
+# rows whatever the batch size; a batch of 32 rows or fewer is one
+# microbatch and takes the one-graph step unchanged.  Fewer rows would split
+# the B=32 batches of small-config runs and slow them; at 64 rows a default
+# step's graph again outgrows the rest of a training run's memory.
+STEP_ROWS = 32
+
+
 def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
                    params: dict) -> np.ndarray:
     """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph,
-    over batches of PREDICT_ROWS waveforms."""
+    over batches of STEP_ROWS waveforms."""
     out = []
     with no_grad():
-        for i in range(0, x.shape[0], PREDICT_ROWS):
-            logits = M.forward_batch(x[i:i + PREDICT_ROWS], cfg, params)
+        for i in range(0, x.shape[0], STEP_ROWS):
+            logits = M.forward_batch(x[i:i + STEP_ROWS], cfg, params)
             out.append(sigmoid(logits.data))
     return np.concatenate(out, axis=0)
 
@@ -153,36 +165,20 @@ def _threshold(cfg: M.ModelConfig, threshold: float | None) -> float:
     return thr
 
 
-def evaluate_arrays(x: np.ndarray, y: np.ndarray, cfg: M.ModelConfig,
-                    params: dict, threshold: float | None = None) -> tuple:
-    thr = _threshold(cfg, threshold)
-    scores = predict_scores(x, cfg, params)
-    pred = decide(scores, thr)
-    return compute_report(pred, y, scores), scores, pred
-
-
 def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
              threshold: float | None = None, out_dir=None) -> MetricsReport:
+    thr = _threshold(cfg, threshold)
     x, y, _ = dataset.arrays(split)
-    report, scores, _ = evaluate_arrays(x, y, cfg, params, threshold)
+    scores = predict_scores(x, cfg, params)
+    report = compute_report(decide(scores, thr), y, scores)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"report_{split}.txt").write_text(report.format(
-            f"split = {split}\nthreshold = {_threshold(cfg, threshold)!r}"))
+            f"split = {split}\nthreshold = {thr!r}"))
         write_curves_csv(out / f"roc_{split}.csv", scores, y, "roc")
         write_curves_csv(out / f"pr_{split}.csv", scores, y, "pr")
     return report
-
-
-# Rows per forward and backward pass.  A training step runs its batch as
-# consecutive microbatches of at most this many rows, so the live graph is
-# that of 32 rows whatever the batch size; a batch of 32 rows or fewer is one
-# microbatch and takes the one-graph step unchanged.  Fewer rows would split
-# the B=32 batches of small-config runs and slow them; at 64 rows a default
-# step's graph again outgrows the rest of a training run's memory.
-STEP_ROWS = 32
-PREDICT_ROWS = 64   # waveforms per no-grad forward pass of predict_scores
 
 
 def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
@@ -222,12 +218,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     train_cfg.validate()
     cfg = model_cfg.validate()
 
-    # a training step stacks each microbatch from `dataset.waves` as it runs
-    # it; only the validation split, which predict_scores takes whole, is
-    # stacked up front
+    # a training step stacks each microbatch from `dataset.waves` as it runs it
     train_recs = dataset.split_records("train")
     y_train = np.stack([r.labels for r in train_recs])
-    x_val, y_val, _ = dataset.arrays("val")
     params = M.init_params(cfg, train_cfg.seed)
     opt = AdamW(params.values(), lr=train_cfg.lr, betas=train_cfg.betas,
                 eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
@@ -245,7 +238,7 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 
-        report, _, _ = evaluate_arrays(x_val, y_val, cfg, params)
+        report = evaluate(dataset, "val", params, cfg)
         record.val_reports.append((epoch, report))
         if report.strict_match > best_exact:
             best_exact = report.strict_match

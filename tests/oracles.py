@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.functional import (BATCH_CHUNK, _softmax_, bce_with_logits,
-                              sdpa_backward, sdpa_forward)
+from hymad.functional import (_softmax_, bce_with_logits, sdpa_backward,
+                              sdpa_forward)
 from hymad.metrics import _check_pair, _confusions, _macro
 from hymad.model import (_layer_norm_back, _normalize_, forward_batch,
                          positional_encoding)
@@ -346,7 +346,7 @@ def attention_stored_p(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
                              n_heads: int) -> Tensor:
     """`model.attention_block` with a [B, h, T, T] probability buffer that the
-    backward reads instead of recomputing the softmax per chunk."""
+    backward reads instead of recomputing the softmax."""
     wq, wk, wv, wo, gain, bias = (params[f"{prefix}.{n}"] for n in
                                   ("wq", "wk", "wv", "wo", "ln_g", "ln_b"))
     bsz, t_len, d = x.shape
@@ -368,9 +368,7 @@ def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
     p = np.empty((bsz, n_heads, t_len, t_len))
     o = np.empty((bsz, t_len, d))
     o_h = heads(o, 0)
-    chunks = [slice(i, i + BATCH_CHUNK) for i in range(0, bsz, BATCH_CHUNK)]
-    for c in chunks:
-        sdpa_forward_stored_p(*(a[c] for a in qkv), p[c], o_h[c])
+    sdpa_forward_stored_p(*qkv, p, o_h)
     xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
     xhat += x.data
     inv = _normalize_(xhat, 1e-6)
@@ -383,9 +381,7 @@ def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
         go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
         gproj = np.empty_like(proj)
         gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
-        for c in chunks:
-            sdpa_backward_stored_p(*(a[c] for a in qkv), p[c], o_h[c], go_h[c],
-                                   *(a[c] for a in gqkv))
+        sdpa_backward_stored_p(*qkv, p, o_h, go_h, *gqkv)
         gp2 = gproj.reshape(-1, 3 * d)
         g_w = np.empty_like(w_in)
         g_src = []

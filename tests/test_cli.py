@@ -298,6 +298,21 @@ def test_ablate_with_checkpoint_or_threshold_is_config_error(
     assert not (tmp_path / "abl" / "ablation_table.txt").exists()
 
 
+def test_evaluate_without_checkpoint_or_ablate_fails_before_io(
+        workspace, tmp_path, capsys):
+    # the missing model is reported before the dataset is read: a dataset
+    # that does not exist still gives the config error, and no --out appears
+    _, cfg = workspace
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--config", str(cfg),
+                   "--dataset", str(tmp_path / "no-such-data"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: --checkpoint is required")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ablate_reports_four_variants(workspace, capsys):
     root, cfg = workspace
     rc = cli.main(["evaluate", "--config", str(cfg), "--ablate",

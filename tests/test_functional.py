@@ -513,14 +513,6 @@ class TestConvStrided:
         (sliced * Tensor(w)).sum().backward()
         np.testing.assert_allclose(k1.grad, k2.grad, atol=1e-10)
 
-    def test_chunking_invariant(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((7, 96)))
-        k = Tensor(rng.standard_normal((3, 9)), requires_grad=True)
-        a = F.conv1d_strided(x, k, 4, chunk=2)
-        b = F.conv1d_strided(Tensor(x.data.copy()), k, 4, chunk=100)
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_stride_one_matches_same_conv(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 64)))
@@ -542,8 +534,8 @@ class TestConvStrided:
             F.conv1d_strided(x, Tensor(np.ones((1, 9)), requires_grad=True), 4)
 
     def test_peak_memory_below_one_patch_matrix(self):
-        # the frontend's composition at the default sizes, one batch chunk;
-        # an im2col patch matrix [B, P, L] alone would take 16.5 MB
+        # the frontend's composition at the default sizes over 16 rows; an
+        # im2col patch matrix [B, P, L] alone would take 16.5 MB
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((16, 8000)))
         k = Tensor(rng.standard_normal((32, 129)), requires_grad=True)
@@ -567,18 +559,17 @@ class TestConvStrided:
 # The explicit examples reach the segment edge cases whatever the draws:
 # L < stride (one output per segment), T < L, a P that max(1, L // 2S) does
 # not divide, so that the segment's output count Q, the largest divisor of P
-# up to that bound, drops below it (to 1 for the prime P = 13), and a partial
-# last chunk.
+# up to that bound, drops below it (to 1 for the prime P = 13).
 @settings(max_examples=40)
 @given(bsz=st.integers(1, 4), n_filt=st.integers(1, 3), half=st.integers(0, 20),
        stride=st.integers(1, 12), n_out=st.integers(1, 24),
-       chunk=st.sampled_from([1, 2, 100]), seed=st.integers(0, 2 ** 32 - 1))
-@example(bsz=3, n_filt=2, half=2, stride=8, n_out=6, chunk=2, seed=0)
-@example(bsz=2, n_filt=3, half=20, stride=2, n_out=6, chunk=1, seed=1)
-@example(bsz=4, n_filt=1, half=16, stride=2, n_out=13, chunk=100, seed=2)
-@example(bsz=3, n_filt=3, half=20, stride=4, n_out=12, chunk=2, seed=3)
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(bsz=3, n_filt=2, half=2, stride=8, n_out=6, seed=0)
+@example(bsz=2, n_filt=3, half=20, stride=2, n_out=6, seed=1)
+@example(bsz=4, n_filt=1, half=16, stride=2, n_out=13, seed=2)
+@example(bsz=3, n_filt=3, half=20, stride=4, n_out=12, seed=3)
 def test_conv_strided_matches_oracles_over_shapes(bsz, n_filt, half, stride,
-                                                  n_out, chunk, seed):
+                                                  n_out, seed):
     rng = np.random.default_rng(seed)
     l_len, t_len = 2 * half + 1, stride * n_out
     x = rng.standard_normal((bsz, t_len))
@@ -586,7 +577,7 @@ def test_conv_strided_matches_oracles_over_shapes(bsz, n_filt, half, stride,
     k2 = Tensor(k1.data.copy(), requires_grad=True)
     w = rng.standard_normal((bsz, n_filt, n_out))
 
-    strided = F.conv1d_strided(Tensor(x), k1, stride, chunk=chunk)
+    strided = F.conv1d_strided(Tensor(x), k1, stride)
     naive = np.stack([conv1d_same_naive(row, k1.data)[:, ::stride] for row in x])
     np.testing.assert_allclose(strided.data, naive, rtol=0, atol=1e-10)
 

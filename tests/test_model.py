@@ -207,7 +207,6 @@ def _assert_block_matches_oracle(rng, bsz, t_len, d, n_heads, cross, scaled=Fals
 @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_block_matches_composed_oracle(cross, n_heads):
-    # B = 17: one full batch chunk of 16 and a partial one
     _assert_block_matches_oracle(np.random.default_rng(30 + n_heads), 17, 5, 8,
                                  n_heads, cross)
 
@@ -228,9 +227,8 @@ def test_attention_block_matches_oracle_over_shapes(bsz, t_len, d_heads, cross, 
 @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_block_bit_identical_to_stored_p(cross, n_heads):
-    # the backward recomputes each chunk's softmax rows from the saved row
-    # stats; output and all eight gradients equal the stored-P kernels' bytes
-    # (B = 17: a full batch chunk and a partial one)
+    # the backward recomputes the softmax rows from the saved row stats;
+    # output and all eight gradients equal the stored-P kernels' bytes
     rng = np.random.default_rng(40 + n_heads)
     p, x, kv = _block_case(rng, 17, 6, 8, cross)
     leaves = [x, kv, *p.values()]

@@ -6,6 +6,7 @@ import pytest
 
 from hymad.errors import CompatibilityError, ConfigError
 from hymad import datagen as D
+from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
 from hymad.optim import AdamW
@@ -102,25 +103,52 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 def test_threshold_one_yields_zero_recall(tiny_data):
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
-    x, y, _ = tiny_data.arrays("test")
     # 1.0 itself lies outside (0, 1); nothing clears the largest threshold
     # below it, so every prediction falls back to the no-event bit
     with pytest.raises(ConfigError):
-        T.evaluate_arrays(x, y, cfg, params, threshold=1.0)
-    report, _, pred = T.evaluate_arrays(x, y, cfg, params,
-                                        threshold=np.nextafter(1.0, 0.0))
-    assert pred[:, :3].sum() == 0
-    assert pred[:, 3].all()
+        T.evaluate(tiny_data, "test", params, cfg, threshold=1.0)
+    report = T.evaluate(tiny_data, "test", params, cfg,
+                        threshold=np.nextafter(1.0, 0.0))
+    fired = [row["tp"] + row["fp"] for row in report.per_label]
+    assert fired == [0, 0, 0, report.n_samples]
 
 
-def test_evaluate_deterministic(tiny_data):
+def test_evaluate_deterministic(tiny_data, tmp_path):
+    # the curve files hold the repr of each distinct score, so equal files
+    # mean equal score bits
     cfg = tiny_model()
     params = M.init_params(cfg, seed=3)
-    x, y, _ = tiny_data.arrays("val")
-    r1, s1, _ = T.evaluate_arrays(x, y, cfg, params)
-    r2, s2, _ = T.evaluate_arrays(x, y, cfg, params)
-    assert s1.tobytes() == s2.tobytes()
-    assert r1.strict_match == r2.strict_match
+    runs = [T.evaluate(tiny_data, "val", params, cfg, out_dir=tmp_path / r)
+            for r in "ab"]
+    assert vars(runs[0]) == vars(runs[1])
+    for name in ("report_val.txt", "roc_val.csv", "pr_val.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
+    # the convolution and attention kernels run their whole batch at once;
+    # training microbatches and no-grad prediction bound it by STEP_ROWS
+    ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
+    for sid in ds.waves:
+        ds.waves[sid] = ds.waves[sid][:512].copy()
+    assert len(ds.split_records("train")) > 70
+    seen = []
+
+    def watch(fn):
+        def watched(x, *args, **kw):
+            seen.append(x.shape[0])
+            return fn(x, *args, **kw)
+        return watched
+
+    monkeypatch.setattr(F, "conv1d_strided", watch(F.conv1d_strided))
+    monkeypatch.setattr(M, "attention_block", watch(M.attention_block))
+    params, _ = T.train(ds, tiny_model(), tiny_train(batch_size=70, max_epochs=1))
+    # a batch of 70 runs as 32 + 32 + 6 rows
+    assert max(seen) == T.STEP_ROWS and 6 in seen
+    seen.clear()
+    T.evaluate(ds, "train", params, tiny_model())
+    assert seen and max(seen) == T.STEP_ROWS
 
 
 def test_train_writes_artifacts(tiny_data, tmp_path):

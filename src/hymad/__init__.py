@@ -5,4 +5,4 @@ RNN temporal encoder, self/cross-attention fusion, multi-label head, with a
 synthetic overlapping-event dataset protocol, training harness, and metrics.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

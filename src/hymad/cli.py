@@ -55,7 +55,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     _, model_cfg, train_cfg = load_config(args.config)
     if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
+        train_cfg = replace(train_cfg, seed=args.seed).validate()
     if args.fusion is not None:
         model_cfg = replace(model_cfg, fusion_mode=args.fusion)
     data_dir = Path(args.dataset)

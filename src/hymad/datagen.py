@@ -9,6 +9,7 @@ Every sample carries its sources and seed, so regeneration is byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,7 +134,7 @@ def superpose(primary: Waveform, secondary: Waveform, delay: int,
               a: float, b: float) -> Waveform:
     """a*primary + b*shift(secondary, delay), then normalized; labels union.
 
-    Refuses to mix waveforms from different splits (leakage guard).
+    Refuses to mix across splits (leakage guard) or past float64 range.
     """
     if primary.split != secondary.split:
         raise LeakageError(
@@ -144,10 +145,15 @@ def superpose(primary: Waveform, secondary: Waveform, delay: int,
         raise ConfigError("scales a, b must be positive")
     shifted = np.zeros(SEGMENT_LEN)
     shifted[delay:] = secondary.samples[:SEGMENT_LEN - delay]
-    mixed = a * primary.samples + b * shifted
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mixed = normalize(a * primary.samples + b * shifted)
+    except FloatingPointError as exc:
+        raise ConfigError(f"scales {a!r}, {b!r} overflow the float64 mixture; "
+                          "lower dataset.scale_hi") from exc
     active = [CLASSES[i] for i in range(3)
               if primary.labels[i] or secondary.labels[i]]
-    return Waveform(normalize(mixed), label_vector(active),
+    return Waveform(mixed, label_vector(active),
                     source_ids=sorted(set(primary.source_ids) | set(secondary.source_ids)),
                     split=primary.split, seed=primary.seed)
 
@@ -198,10 +204,13 @@ class DatasetConfig:
         if self.n_per_class < 1:
             raise ConfigError(
                 f"dataset.n_per_class must be >= 1, got {self.n_per_class}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset.seed must be >= 0, got {self.seed}")
         if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"dataset.ratios must sum to 1, got {list(self.ratios)}")
-        if not (0.0 < self.scale_lo <= self.scale_hi):
-            raise ConfigError("dataset.scale_lo/scale_hi must satisfy 0 < lo <= hi")
+        if not (0.0 < self.scale_lo <= self.scale_hi < math.inf):
+            raise ConfigError("dataset.scale_lo/scale_hi must be finite and "
+                              "satisfy 0 < lo <= hi")
         if not (0 <= self.delay_max <= SEGMENT_LEN // 2):
             raise ConfigError(
                 f"dataset.delay_max must lie in [0, {SEGMENT_LEN // 2}]")
@@ -295,7 +304,7 @@ def _record_line(r: SampleRecord) -> str:
 
 def _parse_record(line: str) -> SampleRecord:
     sid, combo, split, bits, srcs, delay, a, b, seed = line.split("\t")
-    if split not in SPLITS or len(bits) != len(CLASSES):
+    if split not in SPLITS or len(bits) != len(CLASSES) or set(bits) - {"0", "1"}:
         raise ValueError(f"bad split or label bits in record {line!r}")
     labels = np.array([int(c) for c in bits], dtype=np.int64)
     sources = [int(s) for s in srcs.split(",")] if srcs else []
@@ -360,6 +369,11 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
                             int(header["seed"]), int(header["delay_max"]),
                             float(header["scale_lo"]), float(header["scale_hi"]))
         records = [_parse_record(line) for line in body.splitlines()]
+        if len({r.sample_id for r in records}) != len(records):
+            raise ValueError("a sample_id repeats")
+        empty = set(SPLITS) - {r.split for r in records}
+        if empty:
+            raise ValueError(f"no records in split(s) {sorted(empty)}")
         digests = {s: header[f"shard_{s}"] for s in SPLITS}
     except (ValueError, KeyError) as exc:
         raise CompatibilityError(f"malformed manifest {file}: {exc}") from exc

@@ -10,20 +10,18 @@ mean-pooled MLP produces one unactivated logit per label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from hymad.datagen import CLASSES
+from hymad.datagen import CLASSES, FS
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
-from hymad.sincnet import (INIT_STRATEGIES, MIN_BAND_HZ, bank_kernels,
-                           init_filterbank)
+from hymad.sincnet import bank_kernels, init_filterbank
 from hymad.tensor import Tensor, concat
 
 FUSION_MODES = ("cross_attention", "concat", "freq_only", "temp_only")
 FRONTENDS = ("sinc", "plain")
-WINDOWS = ("hamming", "none")
 
 
 @dataclass
@@ -38,14 +36,11 @@ class ModelConfig:
     d_model: int = 64
     n_heads: int = 1
     mlp_hidden: tuple = (256, 128)
-    n_labels: int = 4
     fusion_mode: str = "cross_attention"
     threshold: float = 0.5
     input_len: int = 8000
-    fs: float = 8000.0
     frontend: str = "sinc"
-    window: str = "hamming"
-    init_strategy: str = "low-band"
+    n_labels = len(CLASSES)        # one logit per class; not a field
 
     def validate(self):
         for name in ("n_filters", "branches", "pool_stride", "rnn_hidden",
@@ -65,20 +60,12 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"model.n_heads ({self.n_heads}) must divide d_model ({self.d_model})")
-        if self.n_labels != len(CLASSES):
-            raise ConfigError(
-                f"model.n_labels must be {len(CLASSES)}, got {self.n_labels}")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"model.threshold must lie in (0, 1), got {self.threshold}")
         for name, allowed in (("fusion_mode", FUSION_MODES),
-                              ("frontend", FRONTENDS), ("window", WINDOWS),
-                              ("init_strategy", tuple(INIT_STRATEGIES))):
+                              ("frontend", FRONTENDS)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"model.{name} must be one of {allowed}")
-        # below 2 MIN_BAND_HZ no sinc band fits under fs/2
-        if not 2.0 * MIN_BAND_HZ <= self.fs < math.inf:
-            raise ConfigError(f"model.fs must be finite and >= "
-                              f"{2.0 * MIN_BAND_HZ}, got {self.fs}")
         if self.input_len % self.pool_stride != 0:
             raise ConfigError(
                 f"model.pool_stride ({self.pool_stride}) must divide "
@@ -262,7 +249,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
             p[f"sinc{b}.theta1"], p[f"sinc{b}.theta2"] = init_filterbank(
-                cfg.n_filters, cfg.fs, cfg.init_strategy)
+                cfg.n_filters, FS)
         else:
             scale = 1.0 / math.sqrt(l_len)
             p[f"plain{b}.kernels"] = Tensor(
@@ -320,7 +307,7 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
             kernels = bank_kernels(params[f"sinc{b}.theta1"], params[f"sinc{b}.theta2"],
-                                   l_len, cfg.fs, cfg.window)
+                                   l_len, FS)
         else:
             kernels = params[f"plain{b}.kernels"]
         y = F.conv1d_strided(x, kernels, cfg.conv_stride)

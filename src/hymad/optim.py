@@ -17,15 +17,12 @@ class AdamW:
     estimates, so lr = 0 leaves parameters bit-identical.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8      # Adam's usual constants
+
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-2,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.params = list(params)
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]

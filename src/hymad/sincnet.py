@@ -2,9 +2,9 @@
 
 Each filter is the difference of two low-pass sinc kernels whose cutoff
 frequencies are reparameterized from unconstrained learnable scalars, so any
-optimizer step keeps 0 <= f1 < f2 <= fs/2.  Kernels use a centered symmetric
-index range -(L-1)/2 .. (L-1)/2, giving zero-phase band-pass responses.  A
-bank's kernels are one graph node over its two theta vectors.
+optimizer step keeps 0 <= f1 < f2 <= fs/2.  Hamming-windowed kernels over a
+centered index range -(L-1)/2 .. (L-1)/2 give zero-phase band-pass responses.
+A bank's kernels are one graph node over its two theta vectors.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from hymad.errors import ConfigError
 from hymad.tensor import Tensor
 
 MIN_BAND_HZ = 1.0
-# init strategy -> fs over the top band edge of its initial filter bank
-INIT_STRATEGIES = {"linear": 2.0, "low-band": 8.0}
+INIT_SPAN = 8.0     # the initial bank spans the seismic low band (0, fs/8]
 
 
 def constrain_cutoffs(theta1, theta2, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -55,24 +54,20 @@ def _lowpass_rows(f: np.ndarray, l_len: int, fs: float) -> np.ndarray:
         return np.where(n == 0.0, 2.0 * g, np.sin(arg) / (np.pi * n))
 
 
-def build_filter(f1, f2, l_len: int, fs: float = 8000.0,
-                 window: str = "hamming") -> np.ndarray:
-    """Band-pass kernels [C, L] for [C] cutoff vectors in Hz."""
+def build_filter(f1, f2, l_len: int, fs: float = 8000.0) -> np.ndarray:
+    """Hamming-windowed band-pass kernels [C, L] for [C] cutoff vectors in Hz."""
     f1, f2 = np.asarray(f1, dtype=np.float64), np.asarray(f2, dtype=np.float64)
     if l_len % 2 != 1:
         raise ConfigError(f"kernel length must be odd, got {l_len}")
     if np.any(f1 < 0) or np.any(f1 > f2) or np.any(f2 > fs / 2.0):
         raise ConfigError("cutoffs must satisfy 0 <= f1 <= f2 <= fs/2")
-    if window not in ("hamming", "none"):
-        raise ConfigError(f"unknown window {window!r}")
     kernels = _lowpass_rows(f2, l_len, fs) - _lowpass_rows(f1, l_len, fs)
-    if window == "hamming":
-        kernels *= hamming_window(l_len)
+    kernels *= hamming_window(l_len)
     return kernels
 
 
-def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int, fs: float = 8000.0,
-                 window: str = "hamming") -> Tensor:
+def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int,
+                 fs: float = 8000.0) -> Tensor:
     """All C kernels [C, L] of a bank's raw [C] thetas, as one node.
 
     The backward is closed-form: each lowpass row has d/dg = 2*cos(2*pi*g*n)
@@ -82,11 +77,10 @@ def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int, fs: float = 8000.0,
     """
     theta1, theta2 = Tensor._coerce(theta1), Tensor._coerce(theta2)
     f1, f2 = constrain_cutoffs(theta1.data, theta2.data, fs)
-    kernels = build_filter(f1, f2, l_len, fs, window)
+    kernels = build_filter(f1, f2, l_len, fs)
 
     def back(g):
-        if window == "hamming":
-            g = g * hamming_window(l_len)
+        g = g * hamming_window(l_len)
 
         def d_cutoff(g_rows, f):
             arg = _phase(f, l_len, fs)[2]
@@ -102,19 +96,15 @@ def bank_kernels(theta1: Tensor, theta2: Tensor, l_len: int, fs: float = 8000.0,
     return Tensor._result(kernels, (theta1, theta2), back)
 
 
-def init_filterbank(n_filters: int, fs: float = 8000.0,
-                    strategy: str = "linear") -> tuple[Tensor, Tensor]:
-    """Raw (theta1, theta2) of a bank of contiguous equal-width bands.
-
-    'linear' spans (0, fs/2]; 'low-band' spans (0, fs/8] to bias toward
-    low-frequency seismic energy.  Raw thetas are set so constrain_cutoffs
-    reproduces the intended band edges exactly.
+def init_filterbank(n_filters: int,
+                    fs: float = 8000.0) -> tuple[Tensor, Tensor]:
+    """Raw (theta1, theta2) of a bank of contiguous equal-width bands over
+    (0, fs/INIT_SPAN].  Raw thetas are set so constrain_cutoffs reproduces
+    the intended band edges exactly.
     """
     if n_filters < 1:
         raise ConfigError(f"n_filters must be >= 1, got {n_filters}")
-    if strategy not in INIT_STRATEGIES:
-        raise ConfigError(f"unknown init strategy {strategy!r}")
-    edges = np.linspace(0.0, fs / INIT_STRATEGIES[strategy], n_filters + 1)
+    edges = np.linspace(0.0, fs / INIT_SPAN, n_filters + 1)
     f1 = edges[:-1]
     f2 = edges[1:]
     return (Tensor(f1.copy(), requires_grad=True),

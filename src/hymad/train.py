@@ -20,7 +20,7 @@ from hymad.optim import AdamW
 from hymad.tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"HYMD"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -30,8 +30,6 @@ class TrainConfig:
     max_epochs: int = 200
     seed: int = 0
     weight_decay: float = 0.01
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     early_stop_exact: float = math.inf  # stop once val exact-match reaches this
 
     def validate(self):
@@ -39,15 +37,12 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"train.{name} must be finite and >= 0, "
                                   f"got {getattr(self, name)}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"train.eps must be finite and > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
-        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(
-                f"train.betas must be two values in [0, 1), got {self.betas}")
         return self
 
 
@@ -222,8 +217,8 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     train_recs = dataset.split_records("train")
     y_train = np.stack([r.labels for r in train_recs])
     params = M.init_params(cfg, train_cfg.seed)
-    opt = AdamW(params.values(), lr=train_cfg.lr, betas=train_cfg.betas,
-                eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(params.values(), lr=train_cfg.lr,
+                weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng([train_cfg.seed, 0x7E])
     record = RunRecord()
     best_exact = -1.0

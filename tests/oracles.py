@@ -437,15 +437,13 @@ def constrain_cutoffs_composed(theta1: Tensor, theta2: Tensor,
     return f1, f2
 
 
-def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int, fs: float,
-                          window: str) -> Tensor:
+def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int,
+                          fs: float) -> Tensor:
     """Band-pass kernels as the difference of two lowpass-row nodes of the
-    normalized cutoffs, times the window."""
+    normalized cutoffs, times the Hamming window."""
     kernels = sub(lowpass_rows(f2 * (1.0 / fs), l_len),
                   lowpass_rows(f1 * (1.0 / fs), l_len))
-    if window == "hamming":
-        kernels = kernels * hamming_window(l_len)
-    return kernels
+    return kernels * hamming_window(l_len)
 
 
 def macro_prf1(pred, truth) -> tuple[float, float, float]:

@@ -62,7 +62,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_sinc_frontend_fidelity():
     fs, l_len = 8000.0, 251
-    kernel = S.build_filter([50.0], [150.0], l_len, fs, "hamming")
+    kernel = S.build_filter([50.0], [150.0], l_len, fs)
     kd = kernel.reshape(-1)
     nfft = 8192
     mag = np.abs(np.fft.rfft(kd, nfft))

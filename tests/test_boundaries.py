@@ -7,6 +7,7 @@ files under `tempfile`, because hypothesis runs many examples inside one call
 of a test function and rejects function-scoped fixtures such as `tmp_path`.
 """
 
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -129,6 +130,55 @@ def test_any_edited_manifest_record_field_is_rejected(files, data):
     assert_dataset_rejected(files, manifest="".join(edited).encode())
 
 
+def redigest(files, lines: list[str], **shards: bytes) -> dict[str, bytes]:
+    """The dataset files with the manifest `lines` and the given split shards,
+    every digest in the manifest recomputed to match, so that only the checks
+    on what the records say can reject them."""
+    first = lines.index("[samples]\n") + 1
+    digests = {"records": "".join(lines[first:]).encode(),
+               **{f"shard_{s}": blob for s, blob in shards.items()}}
+    head = [f"{key} = {hashlib.sha256(digests[key]).hexdigest()}\n"
+            if (key := line.split(" = ")[0]) in digests else line
+            for line in lines[:first]]
+    return {**files, "manifest": "".join(head + lines[first:]).encode(),
+            **{f"{s}.bin": blob for s, blob in shards.items()}}
+
+
+def test_redigested_records_that_hold_are_accepted(files):
+    lines, _ = record_lines(files)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, redigest(files, lines, test=files["test.bin"]))
+        assert len(D.load_dataset(tmp).records) == 21
+
+
+def test_label_bit_other_than_0_or_1_is_rejected(files):
+    # "2000" has the shard label byte of "0100", so only the bits' check
+    # stands between it and a scored label of 2
+    lines, first = record_lines(files)
+    at = next(i for i in range(first, len(lines)) if "\t0100\t" in lines[i])
+    lines[at] = lines[at].replace("\t0100\t", "\t2000\t")
+    assert_dataset_rejected(redigest(files, lines))
+
+
+def test_split_without_records_is_rejected(files):
+    lines, first = record_lines(files)
+    kept = [line for line in lines[first:] if "\ttest\t" not in line]
+    assert_dataset_rejected(redigest(files, lines[:first] + kept, test=b""))
+
+
+def test_repeated_sample_id_is_rejected(files):
+    # a test record takes a train record's sample_id, in the manifest and in
+    # the test shard alike; loading would keep only one of the two waveforms
+    lines, first = record_lines(files)
+    train_id = next(line for line in lines[first:]
+                    if "\ttrain\t" in line).split("\t")[0]
+    at = next(i for i in range(first, len(lines)) if "\ttest\t" in lines[i])
+    lines[at] = train_id + lines[at][lines[at].index("\t"):]
+    shard = np.frombuffer(files["test.bin"], D.SHARD_RECORD).copy()
+    shard["sample_id"][0] = int(train_id)
+    assert_dataset_rejected(redigest(files, lines, test=shard.tobytes()))
+
+
 def test_manifest_cut_inside_its_last_line_is_rejected(files):
     for cut in (1, 2):
         assert_dataset_rejected(files, manifest=files["manifest"][:-cut])
@@ -210,6 +260,15 @@ def test_checkpoint_cut_at_every_structural_offset_is_rejected(checkpoint):
     for cut in sorted(cuts):
         with pytest.raises(CompatibilityError):
             load_checkpoint_bytes(checkpoint[:cut])
+
+
+def test_version_1_checkpoint_is_rejected_by_its_version(checkpoint):
+    assert checkpoint[4:8] == T.CHECKPOINT_VERSION.to_bytes(4, "little") \
+        == (2).to_bytes(4, "little")
+    with pytest.raises(CompatibilityError,
+                       match="unsupported checkpoint version 1$"):
+        load_checkpoint_bytes(checkpoint[:4] + (1).to_bytes(4, "little")
+                              + checkpoint[8:])
 
 
 @probe

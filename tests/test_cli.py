@@ -207,8 +207,7 @@ def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("POOL_STRIDE", "0"), ("N_HEADS", "0"), ("BRANCHES", "0"),
     ("BRANCHES", "4"), ("N_FILTERS", "0"), ("D_MODEL", "-2"),
-    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0"), ("INIT_STRATEGY", "bogus"),
-    ("FS", "0"), ("FS", "1.5")])
+    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0")])
 def test_bad_model_size_is_one_line_config_error(
         workspace, tmp_path, capsys, monkeypatch, key, value):
     _, cfg = workspace
@@ -223,9 +222,8 @@ def test_bad_model_size_is_one_line_config_error(
 
 
 @pytest.mark.parametrize("key, value", [
-    ("BETAS", "1.0,0.999"), ("LR", "nan"), ("LR", "inf"), ("LR", "-1"),
-    ("WEIGHT_DECAY", "nan"), ("WEIGHT_DECAY", "-0.1"), ("EPS", "0"),
-    ("EPS", "-1"), ("EPS", "inf")])
+    ("LR", "nan"), ("LR", "inf"), ("LR", "-1"),
+    ("WEIGHT_DECAY", "nan"), ("WEIGHT_DECAY", "-0.1")])
 def test_bad_train_value_is_one_line_config_error(
         workspace, tmp_path, capsys, monkeypatch, key, value):
     root, cfg = workspace
@@ -238,6 +236,66 @@ def test_bad_train_value_is_one_line_config_error(
     assert err.startswith(f"config error: train.{key.lower()}")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "run" / "final.ckpt").exists()
+
+
+# fixed in the code: the sample rate, the Hamming window, the low-band filter
+# init, the label count and AdamW's betas and eps
+REMOVED_KEYS = {"model": {"fs": "8000.0", "window": "hamming",
+                          "init_strategy": "low-band", "n_labels": "4"},
+                "train": {"betas": "0.9,0.999", "eps": "1e-08"}}
+
+
+@pytest.mark.parametrize("source", ["ini", "env"])
+@pytest.mark.parametrize("key", [f"{s}.{k}" for s, keys in REMOVED_KEYS.items()
+                                 for k in keys])
+def test_removed_key_is_one_line_unknown_key_error(
+        workspace, tmp_path, capsys, monkeypatch, key, source):
+    # even each key's one former value is refused
+    _, cfg = workspace
+    section, name = key.split(".")
+    value = REMOVED_KEYS[section][name]
+    if source == "env":
+        monkeypatch.setenv(f"HYMAD_{section.upper()}_{name.upper()}", value)
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MICRO_CONFIG.replace(
+            f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
+    rc = cli.main(["generate", "--config", str(cfg),
+                   "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: unknown key {key}\n"
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["generate", "--seed", "-1"], {}),
+    (["train", "--seed", "-1"], {}),
+    (["generate"], {"HYMAD_DATASET_SCALE_HI": "inf"}),
+    (["generate"], {"HYMAD_DATASET_SCALE_HI": "1e308"})],
+    ids=["generate-seed", "train-seed", "infinite-scale", "overflowing-scale"])
+def test_value_that_would_crash_the_run_is_one_line_config_error(
+        workspace, tmp_path, capsys, monkeypatch, argv, env):
+    root, cfg = workspace
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if argv[0] == "train":
+        argv = argv + ["--dataset", str(root / "data")]
+    rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_package_version_matches_pyproject():
+    # a run manifest's tool_version names the checkpoint format it wrote
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+    from hymad import __version__
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 def test_unknown_key_names_field(tmp_path):
@@ -368,6 +426,11 @@ def _flip_manifest_label_bit(data, ckpt):
     (data / "manifest").write_text("".join(lines))
 
 
+def _set_checkpoint_version_1(data, ckpt):
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+
+
 def _cut_manifest_newline(data, ckpt):
     (data / "manifest").write_bytes((data / "manifest").read_bytes()[:-1])
 
@@ -387,12 +450,12 @@ def _edit_manifest_record(data, ckpt):
     (_malform_manifest_line, []), (_truncate_checkpoint, []), (_pad_checkpoint, []),
     (_set_first_name_byte(0xFF), []), (_set_first_name_byte(ord("z")), []),
     (_flip_manifest_label_bit, []), (_cut_manifest_newline, []),
-    (_edit_manifest_record, []),
+    (_edit_manifest_record, []), (_set_checkpoint_version_1, []),
 ], ids=["flipped-shard-byte", "flipped-shard-byte-ablate", "truncated-shard",
         "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes",
         "undecodable-checkpoint-name", "unknown-checkpoint-name",
         "flipped-manifest-label-bit", "manifest-without-final-newline",
-        "edited-manifest-record"])
+        "edited-manifest-record", "version-1-checkpoint"])
 def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, extra):
     import shutil
     from hymad import model as M, train as T

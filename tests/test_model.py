@@ -1,10 +1,12 @@
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, NumericError, ShapeError
 from hymad import functional as F
 from hymad import model as M
@@ -456,14 +458,16 @@ def test_config_validation_errors():
 
 
 def test_config_requires_one_label_per_class():
-    for n in (1, 3, 5):
-        with pytest.raises(ConfigError, match="n_labels"):
-            tiny_cfg(n_labels=n)
+    # the label count follows the class list; no config can set it
+    cfg = tiny_cfg()
+    assert cfg.n_labels == len(CLASSES)
+    assert "n_labels" not in {f.name for f in fields(cfg)}
+    assert M.init_params(cfg)["mlp.w2"].shape == (8, len(CLASSES))
+    with pytest.raises(TypeError):
+        tiny_cfg(n_labels=3)
 
 
-def test_config_checks_window_and_sinc_kernel_length():
-    with pytest.raises(ConfigError, match="window"):
-        tiny_cfg(window="hann")
+def test_config_checks_sinc_kernel_length():
     with pytest.raises(ConfigError, match=">= 3"):
         tiny_cfg(kernel_len=1)
     with pytest.raises(ConfigError, match=">= 3"):

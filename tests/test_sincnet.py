@@ -18,9 +18,15 @@ def _cutoffs(t1, t2):
     return float(f1[0]), float(f2[0])
 
 
-def _init_cutoffs(n_filters, strategy):
-    theta1, theta2 = init_filterbank(n_filters, FS, strategy)
+def _init_cutoffs(n_filters):
+    theta1, theta2 = init_filterbank(n_filters, FS)
     return constrain_cutoffs(theta1.data, theta2.data, FS)
+
+
+def _full_band_thetas(n_filters):
+    """Raw thetas of contiguous equal-width bands over (0, fs/2]."""
+    edges = np.linspace(0.0, FS / 2.0, n_filters + 1)
+    return Tensor(edges[:-1]), Tensor(np.diff(edges) - MIN_BAND_HZ)
 
 
 def test_constrain_zero_thetas():
@@ -50,24 +56,24 @@ def test_constraint_holds_for_arbitrary_thetas():
 
 def test_kernel_center_tap():
     f1, f2 = 50.0, 150.0
-    k = build_filter([f1], [f2], 251, FS, window="hamming")[0]
+    k = build_filter([f1], [f2], 251, FS)[0]
     # center tap is 2*(g2-g1) times the window value there
     w_center = 0.54 - 0.46 * np.cos(2 * np.pi * 125 / 250)
     assert k[125] == pytest.approx(2.0 * (f2 - f1) / FS * w_center, rel=1e-12)
 
 
 def test_equal_cutoffs_zero_kernel():
-    k = build_filter([200.0], [200.0], 65, FS, window="none")
+    k = build_filter([200.0], [200.0], 65, FS)
     np.testing.assert_allclose(k, np.zeros((1, 65)), atol=1e-15)
 
 
 def test_kernel_even_symmetry():
-    k = build_filter([50.0], [150.0], 251, FS, window="hamming")
+    k = build_filter([50.0], [150.0], 251, FS)
     np.testing.assert_allclose(k, k[:, ::-1], atol=1e-12)
 
 
 def test_fft_passband_vs_stopband_ratio():
-    k = build_filter([50.0], [150.0], 251, FS, window="hamming")[0]
+    k = build_filter([50.0], [150.0], 251, FS)[0]
     nfft = 8192
     mag = np.abs(np.fft.rfft(k, nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / FS)
@@ -84,7 +90,7 @@ def test_build_filter_rejects_bad_cutoffs():
 
 def test_conv_forward_matches_naive_oracle():
     rng = np.random.default_rng(1)
-    kernels = bank_kernels(*init_filterbank(4, FS, "linear"), 17, FS)
+    kernels = bank_kernels(*_full_band_thetas(4), 17, FS)
     x = rng.standard_normal(64)
     got = conv1d_strided(Tensor(x[None]), kernels, 1).data[0]
     want = conv1d_same_naive(x, kernels.data)
@@ -92,25 +98,26 @@ def test_conv_forward_matches_naive_oracle():
 
 
 def test_conv_forward_zero_input():
-    kernels = bank_kernels(*init_filterbank(3, FS, "linear"), 17, FS)
+    kernels = bank_kernels(*_full_band_thetas(3), 17, FS)
     out = conv1d_strided(Tensor(np.zeros((1, 64))), kernels, 1).data
     np.testing.assert_allclose(out, np.zeros((1, 3, 64)), atol=1e-14)
 
 
 def test_init_linear_bands():
-    f1, f2 = _init_cutoffs(4, "linear")
-    np.testing.assert_allclose(f1, [0, 1000, 2000, 3000], atol=1e-9)
-    np.testing.assert_allclose(f2, [1000, 2000, 3000, 4000], atol=1e-9)
+    # equal-width bands over (0, fs/8] = (0, 1000] Hz
+    f1, f2 = _init_cutoffs(4)
+    np.testing.assert_allclose(f1, [0, 250, 500, 750], atol=1e-9)
+    np.testing.assert_allclose(f2, [250, 500, 750, 1000], atol=1e-9)
 
 
 def test_init_single_filter_full_band():
-    f1, f2 = _init_cutoffs(1, "linear")
+    f1, f2 = _init_cutoffs(1)
     assert float(f1[0]) == pytest.approx(0.0, abs=1e-9)
-    assert float(f2[0]) == pytest.approx(FS / 2.0, abs=1e-9)
+    assert float(f2[0]) == pytest.approx(FS / 8.0, abs=1e-9)
 
 
 def test_init_low_band_roundtrip():
-    f1, f2 = _init_cutoffs(8, "low-band")
+    f1, f2 = _init_cutoffs(8)
     edges = np.linspace(0.0, FS / 8.0, 9)
     np.testing.assert_allclose(f1, edges[:-1], atol=1e-9)
     np.testing.assert_allclose(f2, edges[1:], atol=1e-9)
@@ -123,7 +130,7 @@ def test_init_rejects_zero_filters():
 
 def test_cutoff_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    theta1, theta2 = init_filterbank(3, FS, "low-band")
+    theta1, theta2 = init_filterbank(3, FS)
     # nudge thetas off the clamp boundaries so central differences are clean
     theta1.data += 5.0
     theta2.data += 5.0
@@ -141,14 +148,13 @@ EDGE_THETAS = (np.array([0.0, -37.5, 120.0, 3999.0, 5e3, 250.0, 800.0, 1e3]),
                np.array([40.0, 0.0, -15.0, 3.0, 7.0, 3749.0, 9e3, -2.5]))
 
 
-@pytest.mark.parametrize("window", ["hamming", "none"])
 @pytest.mark.parametrize("l_len", [3, 129, 251])
-def test_bank_kernels_bit_identical_to_composed_oracle(l_len, window):
+def test_bank_kernels_bit_identical_to_composed_oracle(l_len):
     fused_leaves = [Tensor(t.copy(), requires_grad=True) for t in EDGE_THETAS]
     comp_leaves = [Tensor(t.copy(), requires_grad=True) for t in EDGE_THETAS]
-    fused = bank_kernels(*fused_leaves, l_len, FS, window)
+    fused = bank_kernels(*fused_leaves, l_len, FS)
     composed = build_filter_composed(
-        *constrain_cutoffs_composed(*comp_leaves, FS), l_len, FS, window)
+        *constrain_cutoffs_composed(*comp_leaves, FS), l_len, FS)
     assert fused._parents == tuple(fused_leaves)
     assert fused.data.tobytes() == composed.data.tobytes()
     w = np.random.default_rng(l_len).standard_normal(fused.shape)
@@ -159,8 +165,3 @@ def test_bank_kernels_bit_identical_to_composed_oracle(l_len, window):
     # sign(0) and the strict clamp masks stop the gradient
     assert fused_leaves[0].grad[[0, 3, 4]].tolist() == [0.0, 0.0, 0.0]
     assert fused_leaves[1].grad[[1, 5, 6]].tolist() == [0.0, 0.0, 0.0]
-
-
-def test_bank_kernels_unknown_window_rejected():
-    with pytest.raises(ConfigError):
-        bank_kernels(*EDGE_THETAS, 17, FS, "hann")

@@ -6,10 +6,9 @@ them.  Backward consumes the graph: each interior node drops its closure
 and its parents as it is reached, so the arrays the closure saved are freed
 once its gradient has passed on, and its own gradient is freed too.  Only
 leaves (tensors without parents, such as parameters) keep `.grad`, which
-accumulates across graphs until zeroed, as the optimizer relies on; a second
-backward through a consumed graph raises `RuntimeError`.  A gradient array
-handed out by `backward()` is never written to afterwards, so a caller may
-hold on to it.
+accumulates across graphs until zeroed; a second backward through a consumed
+graph raises `RuntimeError`.  A gradient array handed out by `backward()`
+is never written to afterwards, so a caller may hold on to it.
 
 The primitives are the ones the detector's graph needs between its fused
 nodes: `+`, `mean` and `concat`, plus `*` and `sum` for building scalar

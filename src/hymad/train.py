@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
+import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -130,13 +134,84 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 # Rows per forward pass, training or not, and the one bound on the rows the
 # layers see: the convolution and attention kernels run whatever batch they
 # are handed in one go, so this bounds their segment copies and [B, h, T, T]
-# softmax buffers.  A training step runs its batch as consecutive
-# microbatches of at most this many rows, so the live graph is that of 32
-# rows whatever the batch size; a batch of 32 rows or fewer is one
-# microbatch and takes the one-graph step unchanged.  Fewer rows would split
-# the B=32 batches of small-config runs and slow them; at 64 rows a default
-# step's graph again outgrows the rest of a training run's memory.
+# softmax buffers.  A training step runs its batch as microbatches, so the
+# live graphs are those of at most 32 rows whatever the batch size; a batch
+# of 32 rows or fewer is one microbatch and takes the one-graph step
+# unchanged.  Fewer rows would split the B=32 batches of small-config runs
+# and slow them; at 64 rows a default step's graph again outgrows the rest
+# of a training run's memory.
 STEP_ROWS = 32
+# Threads a step of more than STEP_ROWS rows runs its microbatches on, each
+# microbatch STEP_ROWS // STEP_WORKERS rows, so STEP_ROWS rows are still the
+# most alive at once.  The step is mostly single-threaded numpy work, so a
+# second worker uses the core it leaves idle.  With 1, or with fewer cores
+# than workers, or without control of OpenBLAS's threads, such a step runs
+# STEP_ROWS-row microbatches one after another.
+STEP_WORKERS = 2
+_pool = None          # made by the first pooled step
+M_ARENA_MAX = -8      # glibc's mallopt parameter
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy bundles no OpenBLAS that exports such a pair."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get, put = (f"{prefix}_{op}_num_threads{suffix}"
+                        for op in ("get", "set"))
+            if hasattr(handle, get) and hasattr(handle, put):
+                get, put = getattr(handle, get), getattr(handle, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """OpenBLAS runs `n` threads in the block and its own count after it."""
+    get, put = _openblas()
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _step_pool():
+    """The pool that runs the microbatches of a step of more than STEP_ROWS
+    rows, made on first use; None when such a step runs sequentially.
+
+    Making it caps glibc's malloc at its main arena for the whole process:
+    per-thread arenas would keep the workers' freed activations mapped and
+    raise the process's peak memory, and the later evaluation would fault
+    its pages in again.
+    """
+    global _pool
+    if STEP_WORKERS < 2 or _cores() < STEP_WORKERS or _openblas() is None:
+        return None
+    if _pool is None:
+        # imported here, so that a process whose steps never pool does not
+        # load the module
+        from concurrent.futures import ThreadPoolExecutor
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "mallopt"):
+            libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+            libc.mallopt.restype = ctypes.c_int
+            libc.mallopt(M_ARENA_MAX, 1)
+        _pool = ThreadPoolExecutor(STEP_WORKERS, thread_name_prefix="hymad-step")
+    return _pool
 
 
 def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
@@ -176,33 +251,70 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
     return report
 
 
+def _microbatch(waves: list, y: np.ndarray, ids: np.ndarray,
+                cfg: M.ModelConfig, params: dict, epoch: int):
+    """Forward, loss and backward of one microbatch on fresh leaves over the
+    parameter arrays (views, not copies); returns the loss and name -> leaf
+    gradient.  It may run on a pool thread, which does not inherit the
+    caller's numpy error state, so it sets its own: an overflow, invalid or
+    divide-by-zero result raises `NumericError` naming the rows."""
+    where = f"at epoch {epoch}, batch ids {ids.tolist()}"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            leaves = {k: Tensor(p.data, requires_grad=True)
+                      for k, p in params.items()}
+            loss = bce_with_logits(M.forward_batch(np.stack(waves), cfg, leaves), y)
+            if not np.isfinite(loss.data):
+                raise NumericError(f"non-finite loss {where}")
+            loss.backward()
+    except FloatingPointError as exc:
+        raise NumericError(f"{exc} {where}") from exc
+    return float(loss.data), {k: t.grad for k, t in leaves.items()}
+
+
 def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
                params: dict, opt: AdamW, epoch: int = 0) -> float:
     """One optimizer step over a batch; returns the batch's mean loss.
 
     `waves` holds the batch's waveforms, `y` their float targets and `ids`
-    the names the non-finite-loss error gives them.  Each microbatch of b of
-    the B rows runs forward and backward on its own graph, and b/B times its
-    leaf gradients is summed outside the graph, so the step sees the
-    gradient and loss of one graph over all B rows.
+    the names a numeric error gives them.  Each microbatch of b of the B
+    rows runs forward and backward on its own graph, and b/B times its leaf
+    gradients is summed outside the graph in microbatch order, so the step
+    sees the gradient and loss of one graph over all B rows.  A batch of
+    more than STEP_ROWS rows runs its microbatches on the step pool when
+    there is one, with OpenBLAS's threads shared out among the workers; the
+    first failing microbatch in order raises, once no worker is running.
     """
     n = len(waves)
-    total, acc = 0.0, None
-    for i in range(0, n, STEP_ROWS):
-        rows = slice(i, i + STEP_ROWS)
-        x = np.stack(waves[rows])
-        loss = bce_with_logits(M.forward_batch(x, cfg, params), y[rows])
-        if not np.isfinite(loss.data):
-            raise NumericError(f"non-finite loss at epoch {epoch}, "
-                               f"batch ids {ids[rows].tolist()}")
-        opt.zero_grad()
-        loss.backward()
-        w = len(x) / n
-        total += w * float(loss.data)
-        grads = [w * p.grad for p in opt.params]
-        acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
-    for p, g in zip(opt.params, acc):
-        p.grad = g
+    pool = _step_pool() if n > STEP_ROWS else None
+    rows = STEP_ROWS if pool is None else STEP_ROWS // STEP_WORKERS
+    jobs = [(waves[i:i + rows], y[i:i + rows], ids[i:i + rows], cfg, params,
+             epoch) for i in range(0, n, rows)]
+
+    def weighted_sum(results):
+        total, acc = 0.0, None
+        for job, (loss, grads) in zip(jobs, results):
+            w = len(job[0]) / n
+            total += w * loss
+            grads = {k: w * g for k, g in grads.items()}
+            acc = grads if acc is None else {k: acc[k] + g
+                                             for k, g in grads.items()}
+        return total, acc
+
+    if pool is None:
+        total, acc = weighted_sum(_microbatch(*job) for job in jobs)
+    else:
+        from concurrent.futures import wait
+        with _blas_threads(_cores() // STEP_WORKERS):
+            futures = [pool.submit(_microbatch, *job) for job in jobs]
+            try:
+                total, acc = weighted_sum(f.result() for f in futures)
+            finally:
+                for f in futures:
+                    f.cancel()
+                wait(futures)
+    for k, g in acc.items():
+        params[k].grad = g
     opt.step()
     return total
 

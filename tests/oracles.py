@@ -555,3 +555,23 @@ def train_step_one_graph(x: np.ndarray, y: np.ndarray, cfg, params: dict):
     loss = bce_with_logits(forward_batch(x, cfg, params), y)
     loss.backward()
     return float(loss.data), {k: p.grad for k, p in params.items()}
+
+
+def train_step_sequential(x: np.ndarray, y: np.ndarray, cfg, params: dict,
+                          rows: int):
+    """The training step's loss and gradients from consecutive microbatches
+    of `rows` rows, each run on the parameters themselves, the step before
+    its microbatches ran on fresh leaves; returns the loss and name ->
+    gradient, and leaves the parameters' values unchanged."""
+    n, total, acc = len(x), 0.0, None
+    for i in range(0, n, rows):
+        for p in params.values():
+            p.grad = None
+        loss = bce_with_logits(forward_batch(x[i:i + rows], cfg, params),
+                               y[i:i + rows])
+        loss.backward()
+        w = len(x[i:i + rows]) / n
+        total += w * float(loss.data)
+        grads = [w * p.grad for p in params.values()]
+        acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
+    return total, dict(zip(params, acc))

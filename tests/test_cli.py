@@ -92,26 +92,36 @@ def nan_data(workspace, tmp_path):
 
 @pytest.mark.parametrize("batch_size", [8, 64])
 def test_nan_waveform_stops_training_at_its_microbatch(
-        workspace, nan_data, monkeypatch, batch_size):
-    # at B=64 the one step over all 56 train rows runs as 32 + 24 rows, and
-    # no optimizer step may follow a failed microbatch
+        workspace, nan_data, monkeypatch, busy_workers, batch_size):
+    # at B=64 the one step over all 56 train rows runs as microbatches on
+    # the step pool, which run side by side, so the NaN microbatch need not
+    # be the last forward; no optimizer step may follow a failed microbatch,
+    # and train raises that microbatch's error once no worker is running
     from hymad import datagen as D, model as M, train as T
     from hymad.errors import NumericError
-    events = []
+    events, errors = [], []
     forward = M.forward_batch
 
     def watched(x, cfg, params):
         events.append("nan" if np.isnan(x).any() else "forward")
-        return forward(x, cfg, params)
+        try:
+            return forward(x, cfg, params)
+        except NumericError as exc:
+            errors.append(exc)
+            raise
 
     monkeypatch.setattr(M, "forward_batch", watched)
     monkeypatch.setattr(T.AdamW, "step", lambda self: events.append("step"))
     _, model_cfg, train_cfg = load_config(workspace[1])
     ds = D.load_dataset(nan_data)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError) as raised:
         T.train(ds, model_cfg, replace(train_cfg, batch_size=batch_size))
-    assert events[-1] == "nan" and events.count("nan") == 1
-    if batch_size == 64:
+    assert busy_workers() == 0
+    assert events.count("nan") == 1 and len(errors) == 1
+    assert raised.value is errors[0]
+    if batch_size == 8:
+        assert events[-1] == "nan"
+    else:
         assert 64 > len(ds.split_records("train")) > T.STEP_ROWS
         assert "step" not in events
 
@@ -122,6 +132,23 @@ def test_nan_waveform_is_numeric_error(workspace, nan_data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 5
     assert err.startswith("numeric error: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_huge_learning_rate_is_one_line_numeric_error(
+        workspace, tmp_path, capsys, monkeypatch):
+    # the first step moves every parameter by about lr, so the next
+    # forward overflows; that is a numeric error naming its rows, not a
+    # numpy warning followed by a NaN further on
+    root, cfg = workspace
+    monkeypatch.setenv("HYMAD_TRAIN_LR", "1e300")
+    rc = cli.main(["train", "--config", str(cfg),
+                   "--dataset", str(root / "data"),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("numeric error: overflow encountered")
+    assert "at epoch 0, batch ids [" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

@@ -1,17 +1,22 @@
+import ctypes
+import threading
+import time
 import tracemalloc
+import concurrent.futures
+from concurrent.futures import Executor, Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hymad.errors import CompatibilityError, ConfigError
+from hymad.errors import CompatibilityError, ConfigError, NumericError
 from hymad import datagen as D
 from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
 from hymad.optim import AdamW
 
-from oracles import train_step_one_graph
+from oracles import train_step_one_graph, train_step_sequential
 
 
 def tiny_model():
@@ -126,9 +131,18 @@ def test_evaluate_deterministic(tiny_data, tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+# the step pool runs only with OpenBLAS thread control and a core per worker
+needs_pool = pytest.mark.skipif(
+    T._openblas() is None or T._cores() < T.STEP_WORKERS,
+    reason="training steps run sequentially on this machine")
+
+
+@needs_pool
 def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # the convolution and attention kernels run their whole batch at once;
-    # training microbatches and no-grad prediction bound it by STEP_ROWS
+    # no-grad prediction bounds it by STEP_ROWS, and a pooled training
+    # step by STEP_ROWS // STEP_WORKERS, so its workers together hold no
+    # more than STEP_ROWS rows
     ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
     for sid in ds.waves:
         ds.waves[sid] = ds.waves[sid][:512].copy()
@@ -144,8 +158,8 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     monkeypatch.setattr(F, "conv1d_strided", watch(F.conv1d_strided))
     monkeypatch.setattr(M, "attention_block", watch(M.attention_block))
     params, _ = T.train(ds, tiny_model(), tiny_train(batch_size=70, max_epochs=1))
-    # a batch of 70 runs as 32 + 32 + 6 rows
-    assert max(seen) == T.STEP_ROWS and 6 in seen
+    # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows
+    assert max(seen) == T.STEP_ROWS // T.STEP_WORKERS and 6 in seen
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
     assert seen and max(seen) == T.STEP_ROWS
@@ -191,7 +205,8 @@ def stacked(ds, n):
 
 
 def test_microbatched_step_matches_one_graph(tiny_data):
-    # 70 rows run as 32 + 32 + 6; the rows' weights 32/70 and 6/70 are inexact
+    # 70 rows run as 16 + 16 + 16 + 16 + 6 on the step pool, or as 32 + 32 + 6
+    # without one; the rows' weights 16/70, 32/70 and 6/70 are inexact
     cfg = tiny_model()
     x, y = stacked(tiny_data, 70)
     assert len(x) == 70 and 2 * T.STEP_ROWS < 70 < 3 * T.STEP_ROWS
@@ -234,3 +249,149 @@ def test_step_memory_does_not_grow_with_batch():
         finally:
             tracemalloc.stop()
     assert peaks[128] <= 1.3 * peaks[32], peaks
+
+
+def random_batch(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, tiny_model().input_len)),
+            (rng.random((n, 4)) < 0.5).astype(np.float64))
+
+
+def forward_rows(monkeypatch, probe=lambda: None):
+    """Records the rows of every forward pass and what `probe` reads during
+    it."""
+    seen = []
+    forward = M.forward_batch
+
+    def watched(x, cfg, params):
+        seen.append((x.shape[0], probe()))
+        return forward(x, cfg, params)
+
+    monkeypatch.setattr(M, "forward_batch", watched)
+    return seen
+
+
+class InThread(Executor):
+    """Runs each task in the submitting thread, at once."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def assert_same_step(a, b):
+    assert np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
+    assert a[1].keys() == b[1].keys()
+    for k in a[1]:
+        assert a[1][k].tobytes() == b[1][k].tobytes(), k
+
+
+@needs_pool
+def test_pooled_step_reruns_are_bit_identical(monkeypatch):
+    x, y = random_batch(128)
+    seen = forward_rows(monkeypatch, probe=T._openblas()[0])
+    runs = [microbatched_step(x, y, tiny_model()) for _ in range(5)]
+    # 8 microbatches of 16 rows per step, at one OpenBLAS thread per worker
+    assert sorted(seen) == [(T.STEP_ROWS // T.STEP_WORKERS,
+                             T._cores() // T.STEP_WORKERS)] * 40
+    for run in runs[1:]:
+        assert_same_step(run, runs[0])
+
+
+@needs_pool
+def test_pooled_step_equals_its_microbatches_run_in_turn(monkeypatch):
+    x, y = random_batch(128, seed=1)
+    pooled = microbatched_step(x, y, tiny_model())
+    assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
+    # the same 16-row microbatches, one after another in this thread, at the
+    # same OpenBLAS thread count
+    monkeypatch.setattr(T, "_pool", InThread())
+    assert_same_step(microbatched_step(x, y, tiny_model()), pooled)
+
+
+@needs_pool
+def test_blas_threads_are_restored_after_a_pooled_step():
+    get = T._openblas()[0]
+    before = get()
+    x, y = random_batch(70)
+    microbatched_step(x, y, tiny_model())
+    assert get() == before
+    x[50] = np.nan
+    with pytest.raises(NumericError):
+        microbatched_step(x, y, tiny_model())
+    assert get() == before
+
+
+@needs_pool
+def test_first_failing_microbatch_in_order_raises(monkeypatch, busy_workers):
+    # rows 0 and 40 are NaN, in microbatches 0 and 2 of 16 rows; microbatch
+    # 0 fails last in time, and its error is the one raised, once no worker
+    # is running
+    x, y = random_batch(64)
+    x[[0, 40]] = np.nan
+    errors = []
+    forward = M.forward_batch
+
+    def watched(x, cfg, params):
+        if np.isnan(x[0, 0]):
+            time.sleep(0.5)
+        try:
+            return forward(x, cfg, params)
+        except NumericError as exc:
+            errors.append((bool(np.isnan(x[0, 0])), exc))
+            raise
+
+    monkeypatch.setattr(M, "forward_batch", watched)
+    with pytest.raises(NumericError) as raised:
+        microbatched_step(x, y, tiny_model())
+    assert busy_workers() == 0
+    assert [first for first, _ in errors] == [False, True]
+    assert raised.value is errors[1][1]
+
+
+@needs_pool
+def test_pooled_overflow_is_numeric_error_naming_its_rows():
+    # numpy's error state does not carry into pool threads; each worker
+    # sets its own, so an overflow there raises, not warns
+    cfg = tiny_model()
+    params = M.init_params(cfg, seed=0)
+    for p in params.values():
+        p.data = p.data * 1e300
+    x, y = random_batch(64)
+    with pytest.raises(NumericError, match=r"^overflow encountered .* at "
+                       r"epoch 3, batch ids \[0, 1, 2, .*15\]$"):
+        T.train_step(list(x), y, np.arange(64), cfg, params,
+                     AdamW(params.values()), epoch=3)
+
+
+def fail(*args, **kw):
+    raise AssertionError("called")
+
+
+def test_step_of_at_most_step_rows_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+    threads = threading.active_count()
+    x, y = random_batch(T.STEP_ROWS)
+    microbatched_step(x, y, tiny_model())
+    assert T._pool is None and threading.active_count() == threads
+
+
+def test_one_step_worker_is_the_sequential_step(monkeypatch):
+    # no pool, no OpenBLAS or allocator call: 32-row microbatches one after
+    # another, bit for bit the step's loop before it had a pool
+    monkeypatch.setattr(T, "STEP_WORKERS", 1)
+    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(T, "_openblas", fail)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+    monkeypatch.setattr(ctypes, "CDLL", fail)
+    x, y = random_batch(70)
+    seen = forward_rows(monkeypatch)
+    step = microbatched_step(x, y, tiny_model())
+    assert seen == [(32, None), (32, None), (6, None)] and T._pool is None
+    assert_same_step(step, train_step_sequential(
+        x, y, tiny_model(), M.init_params(tiny_model(), seed=0), T.STEP_ROWS))

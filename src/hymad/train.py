@@ -149,6 +149,7 @@ STEP_ROWS = 32
 # STEP_ROWS-row microbatches one after another.
 STEP_WORKERS = 2
 _pool = None          # made by the first pooled step
+_ENGINE_BACKWARD = Tensor.backward   # unwrapped, for train_step
 M_ARENA_MAX = -8      # glibc's mallopt parameter
 
 
@@ -178,11 +179,13 @@ def _openblas():
 
 
 @contextmanager
-def _blas_threads(n: int):
-    """OpenBLAS runs `n` threads in the block and its own count after it."""
+def _blas_threads_shared():
+    """OpenBLAS's thread count is shared out among the step's workers in the
+    block, at least one thread each, and restored after it; a count the
+    caller limited stays limited."""
     get, put = _openblas()
     before = get()
-    put(n)
+    put(max(1, before // STEP_WORKERS))
     try:
         yield
     finally:
@@ -301,18 +304,35 @@ def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
                                              for k, g in grads.items()}
         return total, acc
 
+    def in_order(futures):
+        # a future holds its gradients until it is dropped, so each is
+        # dropped once taken: only the running sum and the microbatches
+        # still to be summed are alive, whatever the batch size
+        for i, f in enumerate(futures):
+            futures[i] = None
+            yield f.result()
+
+    in_turn = (_microbatch(*job) for job in jobs)
     if pool is None:
-        total, acc = weighted_sum(_microbatch(*job) for job in jobs)
+        total, acc = weighted_sum(in_turn)
+    elif Tensor.backward is not _ENGINE_BACKWARD:
+        # a wrapper from outside the package, as perfbench's per-layer
+        # tracer wraps it, follows one graph at a time: the pool's
+        # microbatches run in turn at the workers' BLAS share, which gives
+        # the pooled step's result bit for bit
+        with _blas_threads_shared():
+            total, acc = weighted_sum(in_turn)
     else:
         from concurrent.futures import wait
-        with _blas_threads(_cores() // STEP_WORKERS):
+        with _blas_threads_shared():
             futures = [pool.submit(_microbatch, *job) for job in jobs]
             try:
-                total, acc = weighted_sum(f.result() for f in futures)
+                total, acc = weighted_sum(in_order(futures))
             finally:
-                for f in futures:
+                left = [f for f in futures if f is not None]
+                for f in left:
                     f.cancel()
-                wait(futures)
+                wait(left)
     for k, g in acc.items():
         params[k].grad = g
     opt.step()

@@ -1,10 +1,12 @@
 import ctypes
+import gc
 import threading
 import time
 import tracemalloc
+import weakref
 import concurrent.futures
-from concurrent.futures import Executor, Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
 from hymad.optim import AdamW
+from hymad.tensor import Tensor
 
 from oracles import train_step_one_graph, train_step_sequential
 
@@ -137,12 +140,11 @@ needs_pool = pytest.mark.skipif(
     reason="training steps run sequentially on this machine")
 
 
-@needs_pool
 def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # the convolution and attention kernels run their whole batch at once;
-    # no-grad prediction bounds it by STEP_ROWS, and a pooled training
-    # step by STEP_ROWS // STEP_WORKERS, so its workers together hold no
-    # more than STEP_ROWS rows
+    # no-grad prediction and a sequential training step bound it by
+    # STEP_ROWS, and a pooled training step by STEP_ROWS // STEP_WORKERS,
+    # so its workers together hold no more than STEP_ROWS rows
     ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
     for sid in ds.waves:
         ds.waves[sid] = ds.waves[sid][:512].copy()
@@ -158,8 +160,11 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     monkeypatch.setattr(F, "conv1d_strided", watch(F.conv1d_strided))
     monkeypatch.setattr(M, "attention_block", watch(M.attention_block))
     params, _ = T.train(ds, tiny_model(), tiny_train(batch_size=70, max_epochs=1))
-    # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows
-    assert max(seen) == T.STEP_ROWS // T.STEP_WORKERS and 6 in seen
+    # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows on the step pool,
+    # or as 32 + 32 + 6 without one
+    pooled = T._step_pool() is not None
+    assert max(seen) == (T.STEP_ROWS // T.STEP_WORKERS if pooled
+                         else T.STEP_ROWS) and 6 in seen
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
     assert seen and max(seen) == T.STEP_ROWS
@@ -271,18 +276,6 @@ def forward_rows(monkeypatch, probe=lambda: None):
     return seen
 
 
-class InThread(Executor):
-    """Runs each task in the submitting thread, at once."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def assert_same_step(a, b):
     assert np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
     assert a[1].keys() == b[1].keys()
@@ -293,11 +286,13 @@ def assert_same_step(a, b):
 @needs_pool
 def test_pooled_step_reruns_are_bit_identical(monkeypatch):
     x, y = random_batch(128)
-    seen = forward_rows(monkeypatch, probe=T._openblas()[0])
+    get = T._openblas()[0]
+    seen = forward_rows(monkeypatch, probe=get)
     runs = [microbatched_step(x, y, tiny_model()) for _ in range(5)]
-    # 8 microbatches of 16 rows per step, at one OpenBLAS thread per worker
+    # 8 microbatches of 16 rows per step, each worker at its share of
+    # OpenBLAS's threads
     assert sorted(seen) == [(T.STEP_ROWS // T.STEP_WORKERS,
-                             T._cores() // T.STEP_WORKERS)] * 40
+                             max(1, get() // T.STEP_WORKERS))] * 40
     for run in runs[1:]:
         assert_same_step(run, runs[0])
 
@@ -307,10 +302,18 @@ def test_pooled_step_equals_its_microbatches_run_in_turn(monkeypatch):
     x, y = random_batch(128, seed=1)
     pooled = microbatched_step(x, y, tiny_model())
     assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
-    # the same 16-row microbatches, one after another in this thread, at the
-    # same OpenBLAS thread count
-    monkeypatch.setattr(T, "_pool", InThread())
-    assert_same_step(microbatched_step(x, y, tiny_model()), pooled)
+    # under a wrapped Tensor.backward the step runs the same 16-row
+    # microbatches one after another in this thread, at the same OpenBLAS
+    # thread count
+    get = T._openblas()[0]
+    share = max(1, get() // T.STEP_WORKERS)
+    backward = Tensor.backward
+    monkeypatch.setattr(Tensor, "backward", lambda t: backward(t))
+    seen = forward_rows(monkeypatch,
+                        probe=lambda: (threading.current_thread(), get()))
+    in_turn = microbatched_step(x, y, tiny_model())
+    assert seen == [(16, (threading.main_thread(), share))] * 8
+    assert_same_step(in_turn, pooled)
 
 
 @needs_pool
@@ -324,6 +327,79 @@ def test_blas_threads_are_restored_after_a_pooled_step():
     with pytest.raises(NumericError):
         microbatched_step(x, y, tiny_model())
     assert get() == before
+
+
+@needs_pool
+@pytest.mark.parametrize("count", [1, 4])
+def test_pooled_step_shares_out_the_callers_blas_threads(monkeypatch, count):
+    # the workers share the count OpenBLAS had, whatever the cores: a count
+    # the caller limited is never raised
+    get, put = T._openblas()
+    before = get()
+    seen = forward_rows(monkeypatch, probe=get)
+    x, y = random_batch(64)
+    put(count)
+    try:
+        microbatched_step(x, y, tiny_model())
+        assert get() == count
+    finally:
+        put(before)
+    assert seen == [(T.STEP_ROWS // T.STEP_WORKERS,
+                     max(1, count // T.STEP_WORKERS))] * 4
+
+
+@needs_pool
+def test_pooled_step_drops_each_microbatch_gradient_once_summed(monkeypatch):
+    # the optimizer step sees the running sum alone: no microbatch's own
+    # gradients are still alive, so a step's memory does not grow with the
+    # number of its microbatches
+    produced = []
+    microbatch = T._microbatch
+
+    def watched(*args):
+        loss, grads = microbatch(*args)
+        produced.extend(weakref.ref(g) for g in grads.values())
+        return loss, grads
+
+    alive = []
+
+    def step(opt):
+        gc.collect()
+        alive.append(sum(r() is not None for r in produced))
+
+    monkeypatch.setattr(T, "_microbatch", watched)
+    monkeypatch.setattr(AdamW, "step", step)
+    x, y = random_batch(128)
+    microbatched_step(x, y, tiny_model())
+    assert len(produced) == 8 * len(M.init_params(tiny_model(), seed=0))
+    assert alive == [0]
+
+
+@needs_pool
+def test_traced_step_runs_the_pooled_microbatches_in_turn(monkeypatch,
+                                                          busy_workers):
+    # perfbench's per-layer tracer wraps Tensor.backward and follows one
+    # graph at a time, so a step under it runs the pool's 16-row
+    # microbatches in this thread, at the workers' BLAS share: its traced
+    # and untraced calls give the same step bit for bit
+    monkeypatch.syspath_prepend(str(Path(T.__file__).parents[2] / "perfbench"))
+    from tracing import Tracer
+    x, y = random_batch(70)
+    pooled = microbatched_step(x, y, tiny_model())
+    get = T._openblas()[0]
+    share = max(1, get() // T.STEP_WORKERS)
+
+    def probe():
+        return get(), busy_workers()
+
+    seen = forward_rows(monkeypatch, probe)
+    tracer = Tracer()
+    with tracer.installed():
+        traced = microbatched_step(x, y, tiny_model())
+    # each traced forward is followed by the tracer's monolithic rebuild
+    assert seen == [(16, (share, 0))] * 8 + [(6, (share, 0))] * 2
+    assert tracer.grad_checks == [True] * 5
+    assert_same_step(traced, pooled)
 
 
 @needs_pool

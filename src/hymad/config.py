@@ -53,8 +53,8 @@ def load_config(path: str | Path | None, env: dict | None = None):
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            parser.read_string(path.read_text())
-        except configparser.Error as exc:
+            parser.read_string(path.read_text(encoding="utf-8"))
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     values = {s: dict(parser[s]) for s in parser.sections()}

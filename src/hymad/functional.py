@@ -14,40 +14,31 @@ from hymad.errors import NumericError, ShapeError
 from hymad.tensor import Tensor, _unbroadcast
 
 
-def _softmax_(p: np.ndarray, m=None, l=None, saved: bool = False) -> np.ndarray:
+def _softmax_(p: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis of `p`, in place, stabilized by max
-    subtraction; NaN input raises NumericError (the row max propagates it).
-    Each row's max and sum of exponentials go into the [..., 1] buffers `m`
-    and `l` when given; with `saved` they are read instead, which redoes the
-    softmax of the same input bit for bit."""
-    if not saved:
-        m = np.max(p, axis=-1, keepdims=True, out=m)
-        if np.isnan(m).any():
-            raise NumericError("softmax input contains NaN")
+    subtraction; NaN input raises NumericError (the row max propagates it)."""
+    m = np.max(p, axis=-1, keepdims=True)
+    if np.isnan(m).any():
+        raise NumericError("softmax input contains NaN")
     p -= m
     np.exp(p, out=p)
-    p /= l if saved else np.sum(p, axis=-1, keepdims=True, out=l)
+    p /= np.sum(p, axis=-1, keepdims=True)
     return p
 
 
-def sdpa_forward(q, k, v, p, o, m, l):
+def sdpa_forward(q, k, v, p, o):
     """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
-    writes o = softmax(q k^T) v.  `p` is scratch for the softmax rows; each
-    row's max and sum of exponentials go into `m` and `l`, which are all that
+    writes p = softmax(q k^T) and o = p v into the given buffers; `p` is what
     `sdpa_backward` needs of the softmax."""
     np.matmul(q, np.swapaxes(k, -1, -2), out=p)
-    _softmax_(p, m, l)
+    _softmax_(p)
     np.matmul(p, v, out=o)
 
 
-def sdpa_backward(q, k, v, p, o, m, l, go, gq, gk, gv):
+def sdpa_backward(q, k, v, p, o, go, gq, gk, gv):
     """The gradients of `sdpa_forward` for output gradient `go`, written into
-    `gq`, `gk` and `gv`.  The softmax rows are recomputed into scratch `p`
-    from the saved row stats, by the forward's GEMM on the same operands, so
-    they equal the forward's bit for bit; sum_s gP ⊙ P over a row is the
-    cheaper go·o."""
-    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
-    _softmax_(p, m, l, saved=True)
+    `gq`, `gk` and `gv`, from the forward's probabilities `p`; sum_s gP ⊙ P
+    over a row is the cheaper go·o."""
     np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
     gs = go @ np.swapaxes(v, -1, -2)
     gs -= (go * o).sum(axis=-1, keepdims=True)

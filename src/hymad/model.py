@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from hymad.datagen import CLASSES, FS
+from hymad.datagen import CLASSES
 from hymad.errors import ConfigError, ShapeError
 from hymad import functional as F
 from hymad.sincnet import bank_kernels, init_filterbank
@@ -48,6 +48,10 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"model.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("mlp_hidden", "branch_lens"):
+            if not all(isinstance(v, int) for v in getattr(self, name)):
+                raise ConfigError(f"model.{name} entries must be integers, "
+                                  f"got {getattr(self, name)}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(
                 f"model.mlp_hidden widths must be >= 1, got {self.mlp_hidden}")
@@ -153,10 +157,10 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     [Wq / sqrt(d_k) | Wk | Wv], applied as one GEMM for self-attention and as
     two (queries, keys and values) for cross-attention; heads are strided
     views of its output.  Attention runs over the whole batch at once, with
-    the softmax rows in one [B, h, T, T] scratch buffer, so the caller bounds
-    the rows and with them that buffer.  The node saves the projections, the
-    attention output, the normalised residual and each softmax row's max and
-    sum; the backward recomputes the probabilities from these, bit for bit.
+    the softmax probabilities in one [B, h, T, T] buffer, so the caller
+    bounds the rows and with them that buffer.  The node saves the
+    projections, the probabilities, the attention output and the normalised
+    residual, which are all the backward needs.
     """
     x, kv = Tensor._coerce(x), Tensor._coerce(kv)
     if kv.shape != x.shape:
@@ -183,8 +187,8 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
     qkv = [heads(proj, c) for c in (0, d, 2 * d)]
     o = np.empty((bsz, t_len, d))
     o_h = heads(o, 0)
-    stats = np.empty((2, bsz, n_heads, t_len, 1))     # softmax row max, sum
-    F.sdpa_forward(*qkv, np.empty((bsz, n_heads, t_len, t_len)), o_h, *stats)
+    p = np.empty((bsz, n_heads, t_len, t_len))
+    F.sdpa_forward(*qkv, p, o_h)
     xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
     xhat += x.data
     inv = _normalize_(xhat, 1e-6)
@@ -197,8 +201,7 @@ def attention_block(x: Tensor, kv: Tensor, params: dict, prefix: str,
         go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
         gproj = np.empty_like(proj)
         gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
-        F.sdpa_backward(*qkv, np.empty((bsz, n_heads, t_len, t_len)), o_h,
-                        *stats, go_h, *gqkv)
+        F.sdpa_backward(*qkv, p, o_h, go_h, *gqkv)
         gp2 = gproj.reshape(-1, 3 * d)
         g_w = np.empty_like(w_in)
         g_src = []
@@ -249,7 +252,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
             p[f"sinc{b}.theta1"], p[f"sinc{b}.theta2"] = init_filterbank(
-                cfg.n_filters, FS)
+                cfg.n_filters)
         else:
             scale = 1.0 / math.sqrt(l_len)
             p[f"plain{b}.kernels"] = Tensor(
@@ -307,7 +310,7 @@ def frontend_features(x: Tensor, cfg: ModelConfig, params: dict) -> Tensor:
     for b, l_len in enumerate(cfg.kernel_lens()):
         if cfg.frontend == "sinc":
             kernels = bank_kernels(params[f"sinc{b}.theta1"], params[f"sinc{b}.theta2"],
-                                   l_len, FS)
+                                   l_len)
         else:
             kernels = params[f"plain{b}.kernels"]
         y = F.conv1d_strided(x, kernels, cfg.conv_stride)

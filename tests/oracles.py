@@ -20,8 +20,8 @@ from hymad.errors import NumericError, ShapeError
 from hymad.functional import (_softmax_, bce_with_logits, sdpa_backward,
                               sdpa_forward)
 from hymad.metrics import _check_pair, _confusions, _macro
-from hymad.model import (_layer_norm_back, _normalize_, forward_batch,
-                         positional_encoding)
+from hymad.datagen import FS
+from hymad.model import forward_batch, positional_encoding
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
 from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
 
@@ -281,7 +281,7 @@ def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V over
     [..., T, d] inputs, one node over the attention block's kernels: it
-    saves the output and the softmax row stats, not the probabilities."""
+    saves the output and the softmax probabilities."""
     q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
@@ -290,113 +290,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"key rows {k.shape[-2]} != value rows {v.shape[-2]}")
     scale = 1.0 / math.sqrt(d_k)
     qs = q.data * scale
-    p_shape = q.shape[:-1] + k.shape[-2:-1]
-    o = np.empty(q.shape[:-1] + v.shape[-1:])
-    stats = np.empty((2,) + q.shape[:-1] + (1,))
-    sdpa_forward(qs, k.data, v.data, np.empty(p_shape), o, *stats)
-
-    def back(g):
-        gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
-        sdpa_backward(qs, k.data, v.data, np.empty(p_shape), o, *stats,
-                      g, gq, gk, gv)
-        gq *= scale
-        return (gq, gk, gv)
-
-    return Tensor._result(o, (q, k, v), back)
-
-
-def sdpa_forward_stored_p(q, k, v, p, o):
-    """Attention over [..., T, d] arrays with `q` already scaled by 1/sqrt(d_k):
-    writes p = softmax(q k^T) and o = p v into the given buffers."""
-    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
-    _softmax_(p)
-    np.matmul(p, v, out=o)
-
-
-def sdpa_backward_stored_p(q, k, v, p, o, go, gq, gk, gv):
-    """The gradients of `sdpa_forward` for output gradient `go`, written into
-    `gq`, `gk` and `gv`; the softmax rows are recovered from the stored `p`,
-    and sum_s gP ⊙ P over a row is the cheaper go·o."""
-    np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
-    gs = go @ np.swapaxes(v, -1, -2)
-    gs -= (go * o).sum(axis=-1, keepdims=True)
-    gs *= p
-    np.matmul(gs, k, out=gq)
-    np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
-
-
-def attention_stored_p(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """`attention` with the whole probability matrix stored for
-    the backward instead of the softmax row stats."""
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    qs = q.data * scale
     p = np.empty(q.shape[:-1] + k.shape[-2:-1])
     o = np.empty(q.shape[:-1] + v.shape[-1:])
-    sdpa_forward_stored_p(qs, k.data, v.data, p, o)
+    sdpa_forward(qs, k.data, v.data, p, o)
 
     def back(g):
         gq, gk, gv = np.empty_like(qs), np.empty_like(k.data), np.empty_like(v.data)
-        sdpa_backward_stored_p(qs, k.data, v.data, p, o, g, gq, gk, gv)
+        sdpa_backward(qs, k.data, v.data, p, o, g, gq, gk, gv)
         gq *= scale
         return (gq, gk, gv)
 
     return Tensor._result(o, (q, k, v), back)
-
-
-def attention_block_stored_p(x: Tensor, kv: Tensor, params: dict, prefix: str,
-                             n_heads: int) -> Tensor:
-    """`model.attention_block` with a [B, h, T, T] probability buffer that the
-    backward reads instead of recomputing the softmax."""
-    wq, wk, wv, wo, gain, bias = (params[f"{prefix}.{n}"] for n in
-                                  ("wq", "wk", "wv", "wo", "ln_g", "ln_b"))
-    bsz, t_len, d = x.shape
-    d_k = d // n_heads
-    scale = 1.0 / math.sqrt(d_k)
-    w_in = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
-    x2 = x.data.reshape(-1, d)
-    spans = [(x2, slice(None))] if kv is x else \
-        [(x2, slice(0, d)), (kv.data.reshape(-1, d), slice(d, None))]
-
-    def heads(a, col):
-        return a[..., col:col + d].reshape(bsz, t_len, n_heads, d_k) \
-            .transpose(0, 2, 1, 3)
-
-    proj = np.empty((bsz, t_len, 3 * d))
-    for src, cols in spans:
-        np.matmul(src, w_in[:, cols], out=proj.reshape(-1, 3 * d)[:, cols])
-    qkv = [heads(proj, c) for c in (0, d, 2 * d)]
-    p = np.empty((bsz, n_heads, t_len, t_len))
-    o = np.empty((bsz, t_len, d))
-    o_h = heads(o, 0)
-    sdpa_forward_stored_p(*qkv, p, o_h)
-    xhat = (o.reshape(-1, d) @ wo.data).reshape(x.shape)
-    xhat += x.data
-    inv = _normalize_(xhat, 1e-6)
-
-    def back(g):
-        gz = _layer_norm_back(g * gain.data, xhat, inv)
-        gz2 = gz.reshape(-1, d)
-        g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
-        g_wo = o.reshape(-1, d).T @ gz2
-        go_h = heads((gz2 @ wo.data.T).reshape(x.shape), 0)
-        gproj = np.empty_like(proj)
-        gqkv = [heads(gproj, c) for c in (0, d, 2 * d)]
-        sdpa_backward_stored_p(*qkv, p, o_h, go_h, *gqkv)
-        gp2 = gproj.reshape(-1, 3 * d)
-        g_w = np.empty_like(w_in)
-        g_src = []
-        for src, cols in spans:
-            np.matmul(src.T, gp2[:, cols], out=g_w[:, cols])
-            g_src.append((gp2[:, cols] @ w_in[:, cols].T).reshape(x.shape))
-        g_src[0] += gz
-        g_w[:, :d] *= scale
-        return (g_src[0], g_src[1] if len(g_src) > 1 else None,
-                g_w[:, :d], g_w[:, d:2 * d], g_w[:, 2 * d:], g_wo, g_gain,
-                g.reshape(-1, d).sum(axis=0))
-
-    out = xhat * gain.data
-    out += bias.data
-    return Tensor._result(out, (x, kv, wq, wk, wv, wo, gain, bias), back)
 
 
 def rnn_forward_unrolled(f: Tensor, w_h: Tensor, w_x: Tensor,
@@ -428,21 +332,20 @@ def lowpass_rows(g: Tensor, l_len: int) -> Tensor:
     return _unary(g, rows, lambda grad: (grad * 2.0 * np.cos(arg)).sum(axis=1))
 
 
-def constrain_cutoffs_composed(theta1: Tensor, theta2: Tensor,
-                               fs: float) -> tuple[Tensor, Tensor]:
+def constrain_cutoffs_composed(theta1: Tensor,
+                               theta2: Tensor) -> tuple[Tensor, Tensor]:
     """f1 = |theta1| and f2 = f1 + MIN_BAND_HZ + |theta2|, clamped into
-    [0, fs/2], from abs, clip and add nodes."""
-    f1 = clip(absolute(theta1), 0.0, fs / 2.0 - MIN_BAND_HZ)
-    f2 = clip(f1 + MIN_BAND_HZ + absolute(theta2), None, fs / 2.0)
+    [0, FS/2], from abs, clip and add nodes."""
+    f1 = clip(absolute(theta1), 0.0, FS / 2.0 - MIN_BAND_HZ)
+    f2 = clip(f1 + MIN_BAND_HZ + absolute(theta2), None, FS / 2.0)
     return f1, f2
 
 
-def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int,
-                          fs: float) -> Tensor:
+def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int) -> Tensor:
     """Band-pass kernels as the difference of two lowpass-row nodes of the
     normalized cutoffs, times the Hamming window."""
-    kernels = sub(lowpass_rows(f2 * (1.0 / fs), l_len),
-                  lowpass_rows(f1 * (1.0 / fs), l_len))
+    kernels = sub(lowpass_rows(f2 * (1.0 / FS), l_len),
+                  lowpass_rows(f1 * (1.0 / FS), l_len))
     return kernels * hamming_window(l_len)
 
 

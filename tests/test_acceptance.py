@@ -61,12 +61,12 @@ def test_criterion_1_gradient_correctness():
 # -- criterion 2: sinc frontend fidelity -------------------------------------
 
 def test_criterion_2_sinc_frontend_fidelity():
-    fs, l_len = 8000.0, 251
-    kernel = S.build_filter([50.0], [150.0], l_len, fs)
+    l_len = 251
+    kernel = S.build_filter([50.0], [150.0], l_len)
     kd = kernel.reshape(-1)
     nfft = 8192
     mag = np.abs(np.fft.rfft(kd, nfft))
-    freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / D.FS)
     passband = mag[(freqs >= 50.0) & (freqs <= 150.0)].mean()
     stopband = mag[(freqs <= 25.0) | ((freqs >= 300.0) & (freqs <= 4000.0))].mean()
 

@@ -231,6 +231,18 @@ def test_bad_config_value_is_config_error(workspace, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_is_one_line_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(MICRO_CONFIG.encode() + b"\n# \xff\n")
+    rc = cli.main(["train", "--config", str(bad), "--dataset", str(tmp_path),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: cannot parse config {bad}: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 # fixed in the code: the sample rate, the Hamming window, the low-band filter
 # init, the label count and AdamW's betas and eps
 REMOVED_KEYS = {"model": {"fs": "8000.0", "window": "hamming",
@@ -251,8 +263,9 @@ def _assert_one_line_error_for(err, key):
 @pytest.mark.parametrize("key, value", [
     ("POOL_STRIDE", "0"), ("N_HEADS", "0"), ("BRANCHES", "0"),
     ("BRANCHES", "4"), ("N_FILTERS", "0"), ("D_MODEL", "-2"),
-    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0"), ("INIT_STRATEGY", "bogus"),
-    ("FS", "0"), ("FS", "1.5")])
+    ("RNN_HIDDEN", "0"), ("MLP_HIDDEN", "16,0"), ("MLP_HIDDEN", "32.0"),
+    ("MLP_HIDDEN", "1e1"), ("BRANCH_LENS", "65.0,129,251"),
+    ("INIT_STRATEGY", "bogus"), ("FS", "0"), ("FS", "1.5")])
 def test_bad_model_size_is_one_line_config_error(
         workspace, tmp_path, capsys, monkeypatch, key, value):
     _, cfg = workspace

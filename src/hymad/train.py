@@ -135,21 +135,22 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 # layers see: the convolution and attention kernels run whatever batch they
 # are handed in one go, so this bounds their segment copies and [B, h, T, T]
 # softmax buffers.  A training step runs its batch as microbatches, so the
-# live graphs are those of at most 32 rows whatever the batch size; a batch
-# of 32 rows or fewer is one microbatch and takes the one-graph step
-# unchanged.  Fewer rows would split the B=32 batches of small-config runs
-# and slow them; at 64 rows a default step's graph again outgrows the rest
-# of a training run's memory.
+# live graphs are those of at most 32 rows whatever the batch size, and
+# `predict_scores` runs its waveforms in chunks; a call of 32 rows or fewer
+# is one chunk, run in the calling thread.  Fewer rows would split the B=32
+# batches of small-config runs and slow them; at 64 rows a default step's
+# graph again outgrows the rest of a training run's memory.
 STEP_ROWS = 32
-# Threads a step of more than STEP_ROWS rows runs its microbatches on, each
-# microbatch STEP_ROWS // STEP_WORKERS rows, so STEP_ROWS rows are still the
-# most alive at once.  The step is mostly single-threaded numpy work, so a
-# second worker uses the core it leaves idle.  With 1, or with fewer cores
-# than workers, or without control of OpenBLAS's threads, such a step runs
-# STEP_ROWS-row microbatches one after another.
+# Threads a training step or a prediction of more than STEP_ROWS rows runs
+# its chunks on, each chunk STEP_ROWS // STEP_WORKERS rows, so STEP_ROWS rows
+# are still the most alive at once.  The forward and backward are mostly
+# single-threaded numpy work, so a second worker uses the core it leaves
+# idle.  With 1, or with fewer cores than workers, or without control of
+# OpenBLAS's threads, such a call runs STEP_ROWS-row chunks one after
+# another.
 STEP_WORKERS = 2
-_pool = None          # made by the first pooled step
-_ENGINE_BACKWARD = Tensor.backward   # unwrapped, for train_step
+_pool = None          # made by the first pooled call
+_ENGINE_BACKWARD = Tensor.backward   # unwrapped, for _in_order
 M_ARENA_MAX = -8      # glibc's mallopt parameter
 
 
@@ -180,7 +181,7 @@ def _openblas():
 
 @contextmanager
 def _blas_threads_shared():
-    """OpenBLAS's thread count is shared out among the step's workers in the
+    """OpenBLAS's thread count is shared out among the pool's workers in the
     block, at least one thread each, and restored after it; a count the
     caller limited stays limited."""
     get, put = _openblas()
@@ -193,8 +194,9 @@ def _blas_threads_shared():
 
 
 def _step_pool():
-    """The pool that runs the microbatches of a step of more than STEP_ROWS
-    rows, made on first use; None when such a step runs sequentially.
+    """The pool that runs the chunks of a training step or a prediction of
+    more than STEP_ROWS rows, made on first use; None when such a call runs
+    its chunks sequentially.
 
     Making it caps glibc's malloc at its main arena for the whole process:
     per-thread arenas would keep the workers' freed activations mapped and
@@ -217,16 +219,68 @@ def _step_pool():
     return _pool
 
 
+def _chunked(n: int):
+    """The step pool, or None, and the rows per chunk of a call over n rows."""
+    pool = _step_pool() if n > STEP_ROWS else None
+    return pool, STEP_ROWS if pool is None else STEP_ROWS // STEP_WORKERS
+
+
+@contextmanager
+def _in_order(pool, fn, jobs: list):
+    """An iterator over fn(*job) for each job, in order.
+
+    Without a pool the jobs run in the calling thread as they are taken.
+    With one, OpenBLAS's threads are shared out among the workers for the
+    block and the jobs run on the pool; each result is dropped once taken,
+    so only those not yet taken are alive.  The first failing job in order
+    raises, once no worker is running.  While `Tensor.backward` is wrapped
+    from outside the package, as perfbench's per-layer tracer wraps it to
+    follow one graph at a time, the jobs run one after another in the
+    calling thread at the workers' BLAS share, which gives the pooled
+    results bit for bit.
+    """
+    in_turn = (fn(*job) for job in jobs)
+    if pool is None:
+        yield in_turn
+        return
+    with _blas_threads_shared():
+        if Tensor.backward is not _ENGINE_BACKWARD:
+            yield in_turn
+            return
+        from concurrent.futures import wait
+        futures = [pool.submit(fn, *job) for job in jobs]
+
+        def taken():
+            while futures:
+                yield futures.pop(0).result()
+
+        try:
+            yield taken()
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
+
+
+def _chunk_scores(x: np.ndarray, start: int, cfg: M.ModelConfig,
+                  params: dict) -> np.ndarray:
+    try:
+        return sigmoid(M.forward_batch(x, cfg, params).data)
+    except NumericError as exc:
+        raise NumericError(
+            f"{exc} at rows {start}-{start + len(x) - 1}") from exc
+
+
 def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
                    params: dict) -> np.ndarray:
-    """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph,
-    over batches of STEP_ROWS waveforms."""
-    out = []
-    with no_grad():
-        for i in range(0, x.shape[0], STEP_ROWS):
-            logits = M.forward_batch(x[i:i + STEP_ROWS], cfg, params)
-            out.append(sigmoid(logits.data))
-    return np.concatenate(out, axis=0)
+    """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph.
+
+    The waveforms run in chunks, on the step pool as a training step's
+    microbatches do; a numeric error names its chunk's rows."""
+    pool, rows = _chunked(x.shape[0])
+    jobs = [(x[i:i + rows], i, cfg, params) for i in range(0, x.shape[0], rows)]
+    with no_grad(), _in_order(pool, _chunk_scores, jobs) as scores:
+        return np.concatenate(list(scores), axis=0)
 
 
 def _threshold(cfg: M.ModelConfig, threshold: float | None) -> float:
@@ -285,54 +339,20 @@ def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
     gradients is summed outside the graph in microbatch order, so the step
     sees the gradient and loss of one graph over all B rows.  A batch of
     more than STEP_ROWS rows runs its microbatches on the step pool when
-    there is one, with OpenBLAS's threads shared out among the workers; the
-    first failing microbatch in order raises, once no worker is running.
+    there is one (`_in_order`).
     """
     n = len(waves)
-    pool = _step_pool() if n > STEP_ROWS else None
-    rows = STEP_ROWS if pool is None else STEP_ROWS // STEP_WORKERS
+    pool, rows = _chunked(n)
     jobs = [(waves[i:i + rows], y[i:i + rows], ids[i:i + rows], cfg, params,
              epoch) for i in range(0, n, rows)]
-
-    def weighted_sum(results):
-        total, acc = 0.0, None
+    total, acc = 0.0, None
+    with _in_order(pool, _microbatch, jobs) as results:
         for job, (loss, grads) in zip(jobs, results):
             w = len(job[0]) / n
             total += w * loss
             grads = {k: w * g for k, g in grads.items()}
             acc = grads if acc is None else {k: acc[k] + g
                                              for k, g in grads.items()}
-        return total, acc
-
-    def in_order(futures):
-        # a future holds its gradients until it is dropped, so each is
-        # dropped once taken: only the running sum and the microbatches
-        # still to be summed are alive, whatever the batch size
-        for i, f in enumerate(futures):
-            futures[i] = None
-            yield f.result()
-
-    in_turn = (_microbatch(*job) for job in jobs)
-    if pool is None:
-        total, acc = weighted_sum(in_turn)
-    elif Tensor.backward is not _ENGINE_BACKWARD:
-        # a wrapper from outside the package, as perfbench's per-layer
-        # tracer wraps it, follows one graph at a time: the pool's
-        # microbatches run in turn at the workers' BLAS share, which gives
-        # the pooled step's result bit for bit
-        with _blas_threads_shared():
-            total, acc = weighted_sum(in_turn)
-    else:
-        from concurrent.futures import wait
-        with _blas_threads_shared():
-            futures = [pool.submit(_microbatch, *job) for job in jobs]
-            try:
-                total, acc = weighted_sum(in_order(futures))
-            finally:
-                left = [f for f in futures if f is not None]
-                for f in left:
-                    f.cancel()
-                wait(left)
     for k, g in acc.items():
         params[k].grad = g
     opt.step()

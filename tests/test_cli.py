@@ -135,6 +135,26 @@ def test_nan_waveform_is_numeric_error(workspace, nan_data, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_nan_test_waveform_is_numeric_error_naming_its_rows(
+        workspace, tmp_path, capsys):
+    from hymad import datagen as D, model as M, train as T
+    root, cfg = workspace
+    ds = D.load_dataset(root / "data")
+    recs = ds.split_records("test")
+    ds.waves[recs[2].sample_id] = np.full(D.SEGMENT_LEN, np.nan)
+    data = D.save_dataset(ds, tmp_path / "nan")
+    model_cfg = load_config(cfg)[1]
+    ckpt = tmp_path / "m.ckpt"
+    T.save_checkpoint(ckpt, model_cfg, M.init_params(model_cfg, seed=0))
+    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--dataset", str(data), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("numeric error: ")
+    assert err.strip().endswith(f" at rows 0-{len(recs) - 1}")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_huge_learning_rate_is_one_line_numeric_error(
         workspace, tmp_path, capsys, monkeypatch):
     # the first step moves every parameter by about lr, so the next

@@ -17,7 +17,7 @@ from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
 from hymad.optim import AdamW
-from hymad.tensor import Tensor
+from hymad.tensor import Tensor, no_grad
 
 from oracles import train_step_one_graph, train_step_sequential
 
@@ -142,9 +142,9 @@ needs_pool = pytest.mark.skipif(
 
 def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # the convolution and attention kernels run their whole batch at once;
-    # no-grad prediction and a sequential training step bound it by
-    # STEP_ROWS, and a pooled training step by STEP_ROWS // STEP_WORKERS,
-    # so its workers together hold no more than STEP_ROWS rows
+    # a sequential training step or prediction bounds it by STEP_ROWS, and
+    # a pooled one by STEP_ROWS // STEP_WORKERS, so its workers together
+    # hold no more than STEP_ROWS rows
     ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
     for sid in ds.waves:
         ds.waves[sid] = ds.waves[sid][:512].copy()
@@ -163,11 +163,11 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows on the step pool,
     # or as 32 + 32 + 6 without one
     pooled = T._step_pool() is not None
-    assert max(seen) == (T.STEP_ROWS // T.STEP_WORKERS if pooled
-                         else T.STEP_ROWS) and 6 in seen
+    bound = T.STEP_ROWS // T.STEP_WORKERS if pooled else T.STEP_ROWS
+    assert max(seen) == bound and 6 in seen
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
-    assert seen and max(seen) == T.STEP_ROWS
+    assert seen and max(seen) == bound
 
 
 def test_train_writes_artifacts(tiny_data, tmp_path):
@@ -442,6 +442,102 @@ def test_pooled_overflow_is_numeric_error_naming_its_rows():
                        r"epoch 3, batch ids \[0, 1, 2, .*15\]$"):
         T.train_step(list(x), y, np.arange(64), cfg, params,
                      AdamW(params.values()), epoch=3)
+
+
+def sequential_scores(x, cfg, params):
+    """Sigmoid scores over STEP_ROWS-row batches in turn, without a pool."""
+    with no_grad():
+        return np.concatenate([
+            F.sigmoid(M.forward_batch(x[i:i + T.STEP_ROWS], cfg, params).data)
+            for i in range(0, len(x), T.STEP_ROWS)])
+
+
+@needs_pool
+def test_pooled_prediction_equals_its_chunks_run_in_turn(monkeypatch):
+    # more than STEP_ROWS waveforms run as 16-row chunks on the step pool;
+    # under a wrapped Tensor.backward the same chunks run one after another
+    # in this thread, at the workers' OpenBLAS thread count, bit for bit
+    cfg = tiny_model()
+    params = M.init_params(cfg, seed=0)
+    x, _ = random_batch(70, seed=2)
+    get = T._openblas()[0]
+    share = max(1, get() // T.STEP_WORKERS)
+    seen = forward_rows(monkeypatch,
+                        probe=lambda: (threading.current_thread(), get()))
+    pooled = T.predict_scores(x, cfg, params)
+    assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
+    assert sorted(n for n, _ in seen) == [6, 16, 16, 16, 16]
+    assert all(t.name.startswith("hymad-step") and n == share
+               for _, (t, n) in seen)
+    seen.clear()
+    backward = Tensor.backward
+    monkeypatch.setattr(Tensor, "backward", lambda t: backward(t))
+    in_turn = T.predict_scores(x, cfg, params)
+    main = threading.main_thread()
+    assert seen == [(16, (main, share))] * 4 + [(6, (main, share))]
+    assert pooled.tobytes() == in_turn.tobytes()
+
+
+@needs_pool
+def test_pooled_prediction_matches_step_rows_batches_in_turn():
+    # the chunks and the BLAS split differ from 32-row batches in turn, so
+    # the scores may differ in their last bits, and in row order not at all
+    cfg = tiny_model()
+    params = M.init_params(cfg, seed=0)
+    x, _ = random_batch(100, seed=3)
+    scores = T.predict_scores(x, cfg, params)
+    assert scores.shape == (100, 4)
+    np.testing.assert_allclose(scores, sequential_scores(x, cfg, params),
+                               rtol=0, atol=1e-12)
+
+
+def test_prediction_of_at_most_step_rows_runs_in_the_calling_thread(
+        monkeypatch):
+    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
+    cfg = tiny_model()
+    params = M.init_params(cfg, seed=0)
+    x, _ = random_batch(T.STEP_ROWS, seed=4)
+    seen = forward_rows(monkeypatch, probe=threading.current_thread)
+    scores = T.predict_scores(x, cfg, params)
+    assert seen == [(T.STEP_ROWS, threading.main_thread())]
+    assert T._pool is None
+    assert scores.tobytes() == sequential_scores(x, cfg, params).tobytes()
+
+
+@needs_pool
+def test_pooled_evaluate_raises_the_first_failing_chunk(tiny_data, monkeypatch,
+                                                         busy_workers):
+    # split rows 0 and 40 are NaN, in chunks 0 and 2 of 16 rows; chunk 0
+    # fails after chunk 2, while the last chunk of 8 rows is still running,
+    # and its error, naming its rows, is the one raised, once no worker is
+    # running
+    ds = replace(tiny_data, waves=dict(tiny_data.waves))
+    recs = ds.split_records("train")
+    assert len(recs) > 40
+    for i in (0, 40):
+        ds.waves[recs[i].sample_id] = np.full(512, np.nan)
+    errors = []
+    forward = M.forward_batch
+
+    def watched(x, cfg, params):
+        if np.isnan(x[0, 0]):
+            time.sleep(0.5)
+        elif len(x) < 16:
+            time.sleep(1.0)
+        try:
+            return forward(x, cfg, params)
+        except NumericError as exc:
+            errors.append((bool(np.isnan(x[0, 0])), exc))
+            raise
+
+    monkeypatch.setattr(M, "forward_batch", watched)
+    cfg = tiny_model()
+    with pytest.raises(NumericError, match=r" at rows 0-15$") as raised:
+        T.evaluate(ds, "train", M.init_params(cfg, seed=0), cfg)
+    assert busy_workers() == 0
+    assert [first for first, _ in errors] == [False, True]
+    assert raised.value.__cause__ is errors[1][1]
 
 
 def fail(*args, **kw):

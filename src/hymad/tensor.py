@@ -20,30 +20,36 @@ axis swaps, relu, matrix products) live with those oracles.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from hymad.errors import ShapeError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True     # each thread starts with graph construction on
+
+
+_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph construction (eval / finite diffs)."""
+    """Context manager that disables graph construction (eval / finite diffs)
+    in the calling thread; other threads keep building their graphs."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _mode.enabled
+        _mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _mode.enabled = self._prev
         return False
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -80,7 +86,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward_fn) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward_fn

@@ -131,23 +131,22 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[i:i + batch_size]
 
 
-# Rows per forward pass, training or not, and the one bound on the rows the
-# layers see: the convolution and attention kernels run whatever batch they
-# are handed in one go, so this bounds their segment copies and [B, h, T, T]
-# softmax buffers.  A training step runs its batch as microbatches, so the
-# live graphs are those of at most 32 rows whatever the batch size, and
-# `predict_scores` runs its waveforms in chunks; a call of 32 rows or fewer
-# is one chunk, run in the calling thread.  Fewer rows would split the B=32
-# batches of small-config runs and slow them; at 64 rows a default step's
-# graph again outgrows the rest of a training run's memory.
-STEP_ROWS = 32
-# Threads a training step or a prediction of more than STEP_ROWS rows runs
-# its chunks on, each chunk STEP_ROWS // STEP_WORKERS rows, so STEP_ROWS rows
-# are still the most alive at once.  The forward and backward are mostly
-# single-threaded numpy work, so a second worker uses the core it leaves
-# idle.  With 1, or with fewer cores than workers, or without control of
-# OpenBLAS's threads, such a call runs STEP_ROWS-row chunks one after
-# another.
+# Rows per chunk of a forward pass, training or not, and the one bound on
+# the rows the layers see: the convolution and attention kernels run
+# whatever batch they are handed in one go, so this bounds their segment
+# copies and [B, h, T, T] softmax buffers.  A call of more than CHUNK_ROWS
+# rows runs its chunks on the step pool, so at most CHUNK_ROWS *
+# STEP_WORKERS rows are alive; one of CHUNK_ROWS or fewer runs in the
+# calling thread at full BLAS.  Run as one 32-row graph at 2 BLAS threads,
+# a B=32 step spin-waits the second thread on small GEMMs: the pooled
+# chunks cut `ablate_small`'s CPU from 62 to 44 s per 30 s run and its
+# peak RSS from 79 to 71 MB (BENCH_20.json).
+CHUNK_ROWS = 16
+# Threads the chunks of a call of more than CHUNK_ROWS rows run on.  The
+# forward and backward are mostly single-threaded numpy work, so a second
+# worker uses the core it leaves idle.  With 1, or with fewer cores than
+# workers, or without control of OpenBLAS's threads, the same chunks run
+# one after another in the calling thread.
 STEP_WORKERS = 2
 _pool = None          # made by the first pooled call
 _ENGINE_BACKWARD = Tensor.backward   # unwrapped, for _in_order
@@ -195,7 +194,7 @@ def _blas_threads_shared():
 
 def _step_pool():
     """The pool that runs the chunks of a training step or a prediction of
-    more than STEP_ROWS rows, made on first use; None when such a call runs
+    more than CHUNK_ROWS rows, made on first use; None when such a call runs
     its chunks sequentially.
 
     Making it caps glibc's malloc at its main arena for the whole process:
@@ -219,27 +218,21 @@ def _step_pool():
     return _pool
 
 
-def _chunked(n: int):
-    """The step pool, or None, and the rows per chunk of a call over n rows."""
-    pool = _step_pool() if n > STEP_ROWS else None
-    return pool, STEP_ROWS if pool is None else STEP_ROWS // STEP_WORKERS
-
-
 @contextmanager
-def _in_order(pool, fn, jobs: list):
+def _in_order(fn, jobs: list):
     """An iterator over fn(*job) for each job, in order.
 
-    Without a pool the jobs run in the calling thread as they are taken.
-    With one, OpenBLAS's threads are shared out among the workers for the
-    block and the jobs run on the pool; each result is dropped once taken,
-    so only those not yet taken are alive.  The first failing job in order
-    raises, once no worker is running.  While `Tensor.backward` is wrapped
-    from outside the package, as perfbench's per-layer tracer wraps it to
-    follow one graph at a time, the jobs run one after another in the
-    calling thread at the workers' BLAS share, which gives the pooled
-    results bit for bit.
+    More than one job runs on the step pool when there is one: OpenBLAS's
+    threads are shared out among the workers for the block, and each result
+    is dropped once taken, so only those not yet taken are alive.  The first
+    failing job in order raises, once no worker is running.  While
+    `Tensor.backward` is wrapped from outside the package, as perfbench's
+    per-layer tracer wraps it to follow one graph at a time, the jobs run
+    in turn in the calling thread at the workers' BLAS share, which gives
+    the pooled results bit for bit; so do one job, or jobs without a pool.
     """
     in_turn = (fn(*job) for job in jobs)
+    pool = _step_pool() if len(jobs) > 1 else None
     if pool is None:
         yield in_turn
         return
@@ -264,8 +257,10 @@ def _in_order(pool, fn, jobs: list):
 
 def _chunk_scores(x: np.ndarray, start: int, cfg: M.ModelConfig,
                   params: dict) -> np.ndarray:
+    """One chunk's scores; grad mode is per thread, so it sets its own."""
     try:
-        return sigmoid(M.forward_batch(x, cfg, params).data)
+        with no_grad():
+            return sigmoid(M.forward_batch(x, cfg, params).data)
     except NumericError as exc:
         raise NumericError(
             f"{exc} at rows {start}-{start + len(x) - 1}") from exc
@@ -275,11 +270,11 @@ def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
                    params: dict) -> np.ndarray:
     """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph.
 
-    The waveforms run in chunks, on the step pool as a training step's
+    The waveforms run in chunks of CHUNK_ROWS, as a training step's
     microbatches do; a numeric error names its chunk's rows."""
-    pool, rows = _chunked(x.shape[0])
-    jobs = [(x[i:i + rows], i, cfg, params) for i in range(0, x.shape[0], rows)]
-    with no_grad(), _in_order(pool, _chunk_scores, jobs) as scores:
+    jobs = [(x[i:i + CHUNK_ROWS], i, cfg, params)
+            for i in range(0, x.shape[0], CHUNK_ROWS)]
+    with _in_order(_chunk_scores, jobs) as scores:
         return np.concatenate(list(scores), axis=0)
 
 
@@ -337,16 +332,15 @@ def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
     the names a numeric error gives them.  Each microbatch of b of the B
     rows runs forward and backward on its own graph, and b/B times its leaf
     gradients is summed outside the graph in microbatch order, so the step
-    sees the gradient and loss of one graph over all B rows.  A batch of
-    more than STEP_ROWS rows runs its microbatches on the step pool when
-    there is one (`_in_order`).
+    sees the gradient and loss of one graph over all B rows.  The
+    microbatches have CHUNK_ROWS rows and run on the step pool when there
+    is one (`_in_order`).
     """
-    n = len(waves)
-    pool, rows = _chunked(n)
+    n, rows = len(waves), CHUNK_ROWS
     jobs = [(waves[i:i + rows], y[i:i + rows], ids[i:i + rows], cfg, params,
              epoch) for i in range(0, n, rows)]
     total, acc = 0.0, None
-    with _in_order(pool, _microbatch, jobs) as results:
+    with _in_order(_microbatch, jobs) as results:
         for job, (loss, grads) in zip(jobs, results):
             w = len(job[0]) / n
             total += w * loss

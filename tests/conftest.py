@@ -8,6 +8,8 @@ limit applies.  Tests set only `max_examples`.
 Every test also leaves the process as it found it: a pooled training step
 sets OpenBLAS's thread count while it runs, so numpy's count after a test
 must equal the count before it, and no step-pool worker may still be busy.
+Graph construction must still be on, or a leaked `no_grad` would stop later
+tests' graphs.
 """
 
 import sys
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import settings
 
 from hymad import train as T
+from hymad.tensor import grad_enabled
 
 settings.register_profile("hymad", derandomize=True, deadline=None,
                           database=None)
@@ -50,3 +53,4 @@ def process_state_is_restored():
     yield
     assert _blas_threads() == before, "the test changed OpenBLAS's thread count"
     assert _busy_workers() == 0, "a step-pool worker is still running"
+    assert grad_enabled(), "the test left graph construction off"

@@ -122,7 +122,7 @@ def test_nan_waveform_stops_training_at_its_microbatch(
     if batch_size == 8:
         assert events[-1] == "nan"
     else:
-        assert 64 > len(ds.split_records("train")) > T.STEP_ROWS
+        assert 64 > len(ds.split_records("train")) > T.CHUNK_ROWS
         assert "step" not in events
 
 

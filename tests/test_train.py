@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import sys
 import threading
 import time
 import tracemalloc
@@ -17,7 +18,7 @@ from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
 from hymad.optim import AdamW
-from hymad.tensor import Tensor, no_grad
+from hymad.tensor import Tensor, grad_enabled, no_grad
 
 from oracles import train_step_one_graph, train_step_sequential
 
@@ -142,9 +143,7 @@ needs_pool = pytest.mark.skipif(
 
 def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # the convolution and attention kernels run their whole batch at once;
-    # a sequential training step or prediction bounds it by STEP_ROWS, and
-    # a pooled one by STEP_ROWS // STEP_WORKERS, so its workers together
-    # hold no more than STEP_ROWS rows
+    # a training step or prediction bounds it by CHUNK_ROWS, pooled or not
     ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
     for sid in ds.waves:
         ds.waves[sid] = ds.waves[sid][:512].copy()
@@ -160,14 +159,11 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     monkeypatch.setattr(F, "conv1d_strided", watch(F.conv1d_strided))
     monkeypatch.setattr(M, "attention_block", watch(M.attention_block))
     params, _ = T.train(ds, tiny_model(), tiny_train(batch_size=70, max_epochs=1))
-    # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows on the step pool,
-    # or as 32 + 32 + 6 without one
-    pooled = T._step_pool() is not None
-    bound = T.STEP_ROWS // T.STEP_WORKERS if pooled else T.STEP_ROWS
-    assert max(seen) == bound and 6 in seen
+    # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows
+    assert max(seen) == T.CHUNK_ROWS and 6 in seen
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
-    assert seen and max(seen) == bound
+    assert seen and max(seen) == T.CHUNK_ROWS
 
 
 def test_train_writes_artifacts(tiny_data, tmp_path):
@@ -210,11 +206,11 @@ def stacked(ds, n):
 
 
 def test_microbatched_step_matches_one_graph(tiny_data):
-    # 70 rows run as 16 + 16 + 16 + 16 + 6 on the step pool, or as 32 + 32 + 6
-    # without one; the rows' weights 16/70, 32/70 and 6/70 are inexact
+    # 70 rows run as 16 + 16 + 16 + 16 + 6; the rows' weights 16/70 and
+    # 6/70 are inexact
     cfg = tiny_model()
     x, y = stacked(tiny_data, 70)
-    assert len(x) == 70 and 2 * T.STEP_ROWS < 70 < 3 * T.STEP_ROWS
+    assert len(x) == 70 and 4 * T.CHUNK_ROWS < 70 < 5 * T.CHUNK_ROWS
     loss, grads = microbatched_step(x, y, cfg)
     ref_loss, ref = train_step_one_graph(x, y, cfg, M.init_params(cfg, seed=0))
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
@@ -227,7 +223,7 @@ def test_microbatched_step_matches_one_graph(tiny_data):
                                    atol=1e-12 * np.abs(ref[k]).max(), err_msg=k)
 
 
-@pytest.mark.parametrize("rows", [5, 32])
+@pytest.mark.parametrize("rows", [5, T.CHUNK_ROWS])
 def test_step_of_at_most_step_rows_is_the_one_graph_step(tiny_data, rows):
     cfg = tiny_model()
     x, y = stacked(tiny_data, rows)
@@ -291,7 +287,7 @@ def test_pooled_step_reruns_are_bit_identical(monkeypatch):
     runs = [microbatched_step(x, y, tiny_model()) for _ in range(5)]
     # 8 microbatches of 16 rows per step, each worker at its share of
     # OpenBLAS's threads
-    assert sorted(seen) == [(T.STEP_ROWS // T.STEP_WORKERS,
+    assert sorted(seen) == [(T.CHUNK_ROWS,
                              max(1, get() // T.STEP_WORKERS))] * 40
     for run in runs[1:]:
         assert_same_step(run, runs[0])
@@ -344,8 +340,7 @@ def test_pooled_step_shares_out_the_callers_blas_threads(monkeypatch, count):
         assert get() == count
     finally:
         put(before)
-    assert seen == [(T.STEP_ROWS // T.STEP_WORKERS,
-                     max(1, count // T.STEP_WORKERS))] * 4
+    assert seen == [(T.CHUNK_ROWS, max(1, count // T.STEP_WORKERS))] * 4
 
 
 @needs_pool
@@ -444,37 +439,38 @@ def test_pooled_overflow_is_numeric_error_naming_its_rows():
                      AdamW(params.values()), epoch=3)
 
 
-def sequential_scores(x, cfg, params):
-    """Sigmoid scores over STEP_ROWS-row batches in turn, without a pool."""
+def sequential_scores(x, cfg, params, rows):
+    """Sigmoid scores over `rows`-row batches in turn, without a pool."""
     with no_grad():
         return np.concatenate([
-            F.sigmoid(M.forward_batch(x[i:i + T.STEP_ROWS], cfg, params).data)
-            for i in range(0, len(x), T.STEP_ROWS)])
+            F.sigmoid(M.forward_batch(x[i:i + rows], cfg, params).data)
+            for i in range(0, len(x), rows)])
 
 
 @needs_pool
 def test_pooled_prediction_equals_its_chunks_run_in_turn(monkeypatch):
-    # more than STEP_ROWS waveforms run as 16-row chunks on the step pool;
-    # under a wrapped Tensor.backward the same chunks run one after another
-    # in this thread, at the workers' OpenBLAS thread count, bit for bit
+    # more than CHUNK_ROWS waveforms run as 16-row chunks on the step pool,
+    # each with graph construction off in its own thread; under a wrapped
+    # Tensor.backward the same chunks run one after another in this thread,
+    # at the workers' OpenBLAS thread count, bit for bit
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
     x, _ = random_batch(70, seed=2)
     get = T._openblas()[0]
     share = max(1, get() // T.STEP_WORKERS)
-    seen = forward_rows(monkeypatch,
-                        probe=lambda: (threading.current_thread(), get()))
+    seen = forward_rows(monkeypatch, probe=lambda: (
+        threading.current_thread(), get(), grad_enabled()))
     pooled = T.predict_scores(x, cfg, params)
     assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
     assert sorted(n for n, _ in seen) == [6, 16, 16, 16, 16]
-    assert all(t.name.startswith("hymad-step") and n == share
-               for _, (t, n) in seen)
+    assert all(t.name.startswith("hymad-step") and n == share and not grad
+               for _, (t, n, grad) in seen)
     seen.clear()
     backward = Tensor.backward
     monkeypatch.setattr(Tensor, "backward", lambda t: backward(t))
     in_turn = T.predict_scores(x, cfg, params)
-    main = threading.main_thread()
-    assert seen == [(16, (main, share))] * 4 + [(6, (main, share))]
+    main = (threading.main_thread(), share, False)
+    assert seen == [(16, main)] * 4 + [(6, main)]
     assert pooled.tobytes() == in_turn.tobytes()
 
 
@@ -487,7 +483,7 @@ def test_pooled_prediction_matches_step_rows_batches_in_turn():
     x, _ = random_batch(100, seed=3)
     scores = T.predict_scores(x, cfg, params)
     assert scores.shape == (100, 4)
-    np.testing.assert_allclose(scores, sequential_scores(x, cfg, params),
+    np.testing.assert_allclose(scores, sequential_scores(x, cfg, params, 32),
                                rtol=0, atol=1e-12)
 
 
@@ -497,12 +493,13 @@ def test_prediction_of_at_most_step_rows_runs_in_the_calling_thread(
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
-    x, _ = random_batch(T.STEP_ROWS, seed=4)
+    x, _ = random_batch(T.CHUNK_ROWS, seed=4)
     seen = forward_rows(monkeypatch, probe=threading.current_thread)
     scores = T.predict_scores(x, cfg, params)
-    assert seen == [(T.STEP_ROWS, threading.main_thread())]
+    assert seen == [(T.CHUNK_ROWS, threading.main_thread())]
     assert T._pool is None
-    assert scores.tobytes() == sequential_scores(x, cfg, params).tobytes()
+    assert scores.tobytes() == \
+        sequential_scores(x, cfg, params, T.CHUNK_ROWS).tobytes()
 
 
 @needs_pool
@@ -548,14 +545,63 @@ def test_step_of_at_most_step_rows_starts_no_thread(monkeypatch):
     monkeypatch.setattr(T, "_pool", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     threads = threading.active_count()
-    x, y = random_batch(T.STEP_ROWS)
+    x, y = random_batch(T.CHUNK_ROWS)
     microbatched_step(x, y, tiny_model())
     assert T._pool is None and threading.active_count() == threads
 
 
+@needs_pool
+def test_step_of_more_than_chunk_rows_runs_its_chunks_on_the_pool(
+        monkeypatch):
+    # a B=32 step, as the small config's, runs as two 16-row microbatches
+    # on the pool at the workers' BLAS share, not as one 32-row graph here
+    get = T._openblas()[0]
+    share = max(1, get() // T.STEP_WORKERS)
+    seen = forward_rows(monkeypatch,
+                        probe=lambda: (threading.current_thread().name, get()))
+    x, y = random_batch(2 * T.CHUNK_ROWS, seed=6)
+    microbatched_step(x, y, tiny_model())
+    assert [n for n, _ in seen] == [16, 16]
+    assert all(name.startswith("hymad-step") and count == share
+               for _, (name, count) in seen)
+
+
+def test_prediction_in_another_thread_leaves_a_step_its_graph():
+    # grad mode is per thread: a prediction's no_grad in one thread must not
+    # stop the graph a training step builds in another, whatever the
+    # interleaving, so the steps equal the step run alone bit for bit
+    cfg = tiny_model()
+    x, y = random_batch(8, seed=5)
+    alone = microbatched_step(x, y, cfg)
+    params = M.init_params(cfg, seed=1)
+    stop, errors, steps = threading.Event(), [], []
+
+    def predict():
+        try:
+            while not stop.is_set():
+                T.predict_scores(x, cfg, params)
+        except Exception as exc:
+            errors.append(exc)
+
+    other = threading.Thread(target=predict)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        other.start()
+        for _ in range(5):
+            steps.append(microbatched_step(x, y, cfg))
+    finally:
+        stop.set()
+        other.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not other.is_alive() and not errors
+    for step in steps:
+        assert_same_step(step, alone)
+
+
 def test_one_step_worker_is_the_sequential_step(monkeypatch):
-    # no pool, no OpenBLAS or allocator call: 32-row microbatches one after
-    # another, bit for bit the step's loop before it had a pool
+    # no pool, no OpenBLAS or allocator call: the pool's 16-row microbatches
+    # one after another, bit for bit the step's loop before it had a pool
     monkeypatch.setattr(T, "STEP_WORKERS", 1)
     monkeypatch.setattr(T, "_pool", None)
     monkeypatch.setattr(T, "_openblas", fail)
@@ -564,6 +610,6 @@ def test_one_step_worker_is_the_sequential_step(monkeypatch):
     x, y = random_batch(70)
     seen = forward_rows(monkeypatch)
     step = microbatched_step(x, y, tiny_model())
-    assert seen == [(32, None), (32, None), (6, None)] and T._pool is None
+    assert seen == [(16, None)] * 4 + [(6, None)] and T._pool is None
     assert_same_step(step, train_step_sequential(
-        x, y, tiny_model(), M.init_params(tiny_model(), seed=0), T.STEP_ROWS))
+        x, y, tiny_model(), M.init_params(tiny_model(), seed=0), 16))

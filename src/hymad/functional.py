@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from hymad.errors import NumericError, ShapeError
-from hymad.tensor import Tensor, _unbroadcast
+from hymad.tensor import Tensor
 
 
 def _softmax_(p: np.ndarray) -> np.ndarray:
@@ -96,20 +96,23 @@ def rnn_forward(f: Tensor, w_h: Tensor, w_x: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(hs, (f, w_h, w_x, b), back)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:
-    """Affine layer act(x W + b) with act in {relu, linear}, one node over
-    x [..., d_in] and w [d_in, d_out]; `b` broadcasts against the output, so a
-    [T, d_out] bias adds per position.  The product is one 2-D GEMM, and the
-    relu backward takes its mask from the node's output."""
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear",
+          pos: np.ndarray | None = None) -> Tensor:
+    """Affine layer act(x W + b + pos) with act in {relu, linear}, one node
+    over x [..., T, d_in], w [d_in, d_out] and b [d_out]; the constant `pos`,
+    a [T, d_out] positional table, adds per position.  The product is one 2-D
+    GEMM, and the relu backward takes its mask from the node's output."""
     if act not in ("relu", "linear"):
         raise ValueError(f"unknown activation {act!r}")
     x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(
             f"dense needs [..., d] @ [d, n], got {x.shape} @ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"dense needs a bias {w.shape[1:]}, got {b.shape}")
     x2 = x.data.reshape(-1, x.shape[-1])
     out = (x2 @ w.data).reshape(*x.shape[:-1], w.shape[1])
-    out += b.data
+    out += b.data if pos is None else b.data + pos
     if act == "relu":
         np.maximum(out, 0.0, out=out)
 
@@ -119,7 +122,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "linear") -> Tensor:
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         gw = x2.T @ g2 if w.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        gb = g if b.requires_grad else None
+        while gb is not None and gb.ndim > 1:   # one leading axis at a time
+            gb = gb.sum(axis=0)
         return (gx, gw, gb)
 
     return Tensor._result(out, (x, w, b), back)

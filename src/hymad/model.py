@@ -78,11 +78,12 @@ class ModelConfig:
             raise ConfigError(
                 f"model.conv_stride ({self.conv_stride}) must divide "
                 f"pool_stride ({self.pool_stride})")
+        name = "kernel_len" if self.branches == 1 else "branch_lens"
         for l in self.kernel_lens():
-            if l % 2 != 1:
-                raise ConfigError(f"model.kernel_len must be odd, got {l}")
+            if l % 2 != 1 or l < 1:
+                raise ConfigError(f"model.{name} must be odd and >= 1, got {l}")
             if self.frontend == "sinc" and l < 3:
-                raise ConfigError(f"model.kernel_len must be >= 3 for sinc, got {l}")
+                raise ConfigError(f"model.{name} must be >= 3 for sinc, got {l}")
         return self
 
     def kernel_lens(self) -> tuple:
@@ -329,20 +330,20 @@ def forward_batch(x, cfg: ModelConfig, params: dict) -> Tensor:
         raise ConfigError(
             f"input must be [B, {cfg.input_len}], got {tuple(x.shape)}")
     feats = frontend_features(x, cfg, params)
-    # each stream's projection bias carries the positional encoding
+    # each stream's projection adds the positional encoding with its bias
     positions = positional_encoding(feats.shape[1], cfg.d_model)
 
     streams = []
     if cfg.fusion_mode != "temp_only":
-        e_freq = F.dense(feats, params["proj_freq.w"],
-                         params["proj_freq.b"] + positions)
+        e_freq = F.dense(feats, params["proj_freq.w"], params["proj_freq.b"],
+                         pos=positions)
         a_freq = self_attention_block(e_freq, params, "self_freq", cfg.n_heads)
         streams.append(a_freq)
     if cfg.fusion_mode != "freq_only":
         h_seq = F.rnn_forward(feats, params["rnn.w_h"], params["rnn.w_x"],
                               params["rnn.b"])
-        e_temp = F.dense(h_seq, params["proj_temp.w"],
-                         params["proj_temp.b"] + positions)
+        e_temp = F.dense(h_seq, params["proj_temp.w"], params["proj_temp.b"],
+                         pos=positions)
         a_temp = self_attention_block(e_temp, params, "self_temp", cfg.n_heads)
         streams.append(a_temp)
 

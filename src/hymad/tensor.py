@@ -11,11 +11,11 @@ graph raises `RuntimeError`.  A gradient array handed out by `backward()`
 is never written to afterwards, so a caller may hold on to it.
 
 The primitives are the ones the detector's graph needs between its fused
-nodes: `+`, `mean` and `concat`, plus `*` and `sum` for building scalar
-roots.  Each fused layer makes its own node with `Tensor._result` and a
-closed-form backward; the primitives only the test oracles compose
-(negation, division, powers, exp, log, tanh, clamps, slicing, reshapes,
-axis swaps, relu, matrix products) live with those oracles.
+nodes, `mean` and `concat`, plus `*` and `sum` for building scalar roots.
+Each fused layer makes its own node with `Tensor._result` and a closed-form
+backward; the primitives only the test oracles compose (addition, negation,
+division, powers, exp, log, tanh, clamps, slicing, reshapes, axis swaps,
+relu, matrix products) live with those oracles.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class Tensor:
         self.grad = np.ones_like(self.data) if self.grad is None \
             else self.grad + 1.0
         # Gradient arrays may be shared: `_unbroadcast` returns its input,
-        # `__add__` hands one array to both parents, and splits and reshapes
-        # hand out views.  So the first contribution is adopted by reference and
-        # only a sum allocated here is ever updated in place.
+        # the test oracles' `add` hands one array to both parents, and splits
+        # and reshapes hand out views.  So the first contribution is adopted
+        # by reference and only a sum allocated here is ever updated in place.
         owned: set[int] = set()
         while topo:
             node = topo.pop()
@@ -158,13 +158,6 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     # an operand that does not require grad gets None, not a dropped gradient
-    def __add__(self, other):
-        a, b = self, Tensor._coerce(other)
-        return Tensor._result(
-            a.data + b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                       _unbroadcast(g, b.shape) if b.requires_grad else None))
-
     def __mul__(self, other):
         a, b = self, Tensor._coerce(other)
         return Tensor._result(

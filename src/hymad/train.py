@@ -8,6 +8,7 @@ import hashlib
 import math
 import os
 import struct
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -148,7 +149,8 @@ CHUNK_ROWS = 16
 # workers, or without control of OpenBLAS's threads, the same chunks run
 # one after another in the calling thread.
 STEP_WORKERS = 2
-_pool = None          # made by the first pooled call
+_pool = None          # made by the first pooled block
+_pooled = threading.Lock()           # held across each pooled block
 _ENGINE_BACKWARD = Tensor.backward   # unwrapped, for _in_order
 M_ARENA_MAX = -8      # glibc's mallopt parameter
 
@@ -179,80 +181,68 @@ def _openblas():
 
 
 @contextmanager
-def _blas_threads_shared():
-    """OpenBLAS's thread count is shared out among the pool's workers in the
-    block, at least one thread each, and restored after it; a count the
-    caller limited stays limited."""
-    get, put = _openblas()
-    before = get()
-    put(max(1, before // STEP_WORKERS))
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def _step_pool():
-    """The pool that runs the chunks of a training step or a prediction of
-    more than CHUNK_ROWS rows, made on first use; None when such a call runs
-    its chunks sequentially.
-
-    Making it caps glibc's malloc at its main arena for the whole process:
-    per-thread arenas would keep the workers' freed activations mapped and
-    raise the process's peak memory, and the later evaluation would fault
-    its pages in again.
-    """
-    global _pool
-    if STEP_WORKERS < 2 or _cores() < STEP_WORKERS or _openblas() is None:
-        return None
-    if _pool is None:
-        # imported here, so that a process whose steps never pool does not
-        # load the module
-        from concurrent.futures import ThreadPoolExecutor
-        libc = ctypes.CDLL(None)
-        if hasattr(libc, "mallopt"):
-            libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-            libc.mallopt.restype = ctypes.c_int
-            libc.mallopt(M_ARENA_MAX, 1)
-        _pool = ThreadPoolExecutor(STEP_WORKERS, thread_name_prefix="hymad-step")
-    return _pool
-
-
-@contextmanager
 def _in_order(fn, jobs: list):
     """An iterator over fn(*job) for each job, in order.
 
-    More than one job runs on the step pool when there is one: OpenBLAS's
-    threads are shared out among the workers for the block, and each result
-    is dropped once taken, so only those not yet taken are alive.  The first
-    failing job in order raises, once no worker is running.  While
-    `Tensor.backward` is wrapped from outside the package, as perfbench's
-    per-layer tracer wraps it to follow one graph at a time, the jobs run
-    in turn in the calling thread at the workers' BLAS share, which gives
-    the pooled results bit for bit; so do one job, or jobs without a pool.
+    More than one job runs on the step pool, unless STEP_WORKERS is 1, the
+    cores are fewer than the workers or OpenBLAS's threads cannot be set.
+    One pooled block runs at a time, and pooled blocks do not nest (a job
+    must not start one): the block holds `_pooled` while it makes the pool
+    on first use, shares OpenBLAS's thread count out among the workers, at
+    least one thread each, and restores it, so a count the caller limited
+    stays limited and two threads' blocks leave it as they found it.  Each
+    result is dropped once taken, so only those not yet taken are alive.
+    The first failing job in order raises, once no worker is running.
+    While `Tensor.backward` is wrapped from outside the package, as
+    perfbench's per-layer tracer wraps it to follow one graph at a time,
+    the jobs run in turn in the calling thread at the workers' BLAS share,
+    which gives the pooled results bit for bit; so do one job, or jobs
+    without a pool.
+
+    Making the pool caps glibc's malloc at its main arena for the whole
+    process: per-thread arenas would keep the workers' freed activations
+    mapped and raise the process's peak memory, and the later evaluation
+    would fault its pages in again.
     """
+    global _pool
     in_turn = (fn(*job) for job in jobs)
-    pool = _step_pool() if len(jobs) > 1 else None
-    if pool is None:
+    if len(jobs) < 2 or STEP_WORKERS < 2 or _cores() < STEP_WORKERS \
+            or _openblas() is None:
         yield in_turn
         return
-    with _blas_threads_shared():
-        if Tensor.backward is not _ENGINE_BACKWARD:
-            yield in_turn
-            return
-        from concurrent.futures import wait
-        futures = [pool.submit(fn, *job) for job in jobs]
-
-        def taken():
-            while futures:
-                yield futures.pop(0).result()
-
+    # imported here, so that a process whose steps never pool does not load
+    # the module
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with _pooled:
+        if _pool is None:
+            libc = ctypes.CDLL(None)
+            if hasattr(libc, "mallopt"):
+                libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+                libc.mallopt.restype = ctypes.c_int
+                libc.mallopt(M_ARENA_MAX, 1)
+            _pool = ThreadPoolExecutor(STEP_WORKERS,
+                                       thread_name_prefix="hymad-step")
+        get, put = _openblas()
+        before = get()
+        put(max(1, before // STEP_WORKERS))
         try:
-            yield taken()
+            if Tensor.backward is not _ENGINE_BACKWARD:
+                yield in_turn
+                return
+            futures = [_pool.submit(fn, *job) for job in jobs]
+
+            def taken():
+                while futures:
+                    yield futures.pop(0).result()
+
+            try:
+                yield taken()
+            finally:
+                for f in futures:
+                    f.cancel()
+                wait(futures)
         finally:
-            for f in futures:
-                f.cancel()
-            wait(futures)
+            put(before)
 
 
 def _chunk_scores(x: np.ndarray, start: int, cfg: M.ModelConfig,

@@ -7,9 +7,10 @@ limit applies.  Tests set only `max_examples`.
 
 Every test also leaves the process as it found it: a pooled training step
 sets OpenBLAS's thread count while it runs, so numpy's count after a test
-must equal the count before it, and no step-pool worker may still be busy.
-Graph construction must still be on, or a leaked `no_grad` would stop later
-tests' graphs.
+must equal the count before it, no step-pool worker may still be busy, and
+no pooled block may still hold its lock, which would hang every later
+pooled call.  Graph construction must still be on, or a leaked `no_grad`
+would stop later tests' graphs.
 """
 
 import sys
@@ -53,4 +54,5 @@ def process_state_is_restored():
     yield
     assert _blas_threads() == before, "the test changed OpenBLAS's thread count"
     assert _busy_workers() == 0, "a step-pool worker is still running"
+    assert not T._pooled.locked(), "the test left a pooled block's lock held"
     assert grad_enabled(), "the test left graph construction off"

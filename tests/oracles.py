@@ -33,12 +33,22 @@ def _unary(a, out, back) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (back(g),))
 
 
+def add(a, b) -> Tensor:
+    """a + b, broadcasting; an operand that does not require grad gets None,
+    not a dropped gradient."""
+    a, b = Tensor._coerce(a), Tensor._coerce(b)
+    return Tensor._result(
+        a.data + b.data, (a, b),
+        lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                   _unbroadcast(g, b.shape) if b.requires_grad else None))
+
+
 def neg(a: Tensor) -> Tensor:
     return _unary(a, -a.data, lambda g: -g)
 
 
 def sub(a, b) -> Tensor:
-    return Tensor._coerce(a) + neg(Tensor._coerce(b))
+    return add(a, neg(Tensor._coerce(b)))
 
 
 def div(a, b) -> Tensor:
@@ -114,7 +124,7 @@ def matmul(a, b) -> Tensor:
 
 def add_positional(e: Tensor) -> Tensor:
     """E + P over the two trailing axes [T, d_model]."""
-    return e + positional_encoding(e.shape[-2], e.shape[-1])
+    return add(e, positional_encoding(e.shape[-2], e.shape[-1]))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -225,7 +235,7 @@ def layer_norm_composed(x: Tensor, gain: Tensor, bias: Tensor,
     """Layer normalization over the last axis, built from primitive nodes."""
     mu = x.mean(axis=-1, keepdims=True)
     var = power(sub(x, mu), 2).mean(axis=-1, keepdims=True)
-    return div(sub(x, mu), sqrt(var + eps)) * gain + bias
+    return add(div(sub(x, mu), sqrt(add(var, eps))) * gain, bias)
 
 
 def standardize_composed(y: Tensor, eps: float) -> Tensor:
@@ -246,12 +256,12 @@ def avg_pool1d(x: Tensor, stride: int) -> Tensor:
 def log_pool_energy_composed(y: Tensor, pool: int, eps: float) -> Tensor:
     """The frontend's pooled log energy as product, pool, shift, log and
     axis-swap nodes."""
-    return transpose(log(avg_pool1d(y * y, pool) + eps))
+    return transpose(log(add(avg_pool1d(y * y, pool), eps)))
 
 
 def dense_composed(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     """The affine layer as product, bias-add and (for relu) relu nodes."""
-    z = matmul(x, w) + b
+    z = add(matmul(x, w), b)
     return relu(z) if act == "relu" else z
 
 
@@ -275,7 +285,8 @@ def attention_block_composed(x: Tensor, kv: Tensor, p: dict, prefix: str,
     scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), transpose(k))
     a = matmul(_merge_heads(matmul(softmax_rows_composed(scores), v)),
                p[f"{prefix}.wo"])
-    return layer_norm_composed(x + a, p[f"{prefix}.ln_g"], p[f"{prefix}.ln_b"])
+    return layer_norm_composed(add(x, a), p[f"{prefix}.ln_g"],
+                               p[f"{prefix}.ln_b"])
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -315,7 +326,8 @@ def rnn_forward_unrolled(f: Tensor, w_h: Tensor, w_x: Tensor,
     wht, wxt = transpose(w_h), transpose(w_x)
     states = []
     for t in range(steps):
-        h = tanh(matmul(h, wht) + matmul(index(f, np.s_[:, t, :]), wxt) + b)
+        h = tanh(add(add(matmul(h, wht), matmul(index(f, np.s_[:, t, :]), wxt)),
+                     b))
         states.append(reshape(h, bsz, 1, hid))
     return concat(states, axis=1)
 
@@ -337,7 +349,7 @@ def constrain_cutoffs_composed(theta1: Tensor,
     """f1 = |theta1| and f2 = f1 + MIN_BAND_HZ + |theta2|, clamped into
     [0, FS/2], from abs, clip and add nodes."""
     f1 = clip(absolute(theta1), 0.0, FS / 2.0 - MIN_BAND_HZ)
-    f2 = clip(f1 + MIN_BAND_HZ + absolute(theta2), None, FS / 2.0)
+    f2 = clip(add(add(f1, MIN_BAND_HZ), absolute(theta2)), None, FS / 2.0)
     return f1, f2
 
 

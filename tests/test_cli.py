@@ -315,6 +315,27 @@ def test_bad_train_value_is_one_line_config_error(
     assert not (tmp_path / "run" / "final.ckpt").exists()
 
 
+@pytest.mark.parametrize("env", [
+    {"KERNEL_LEN": "-1"}, {"BRANCHES": "2", "BRANCH_LENS": "17,-1,251"},
+], ids=["kernel_len", "branch_lens"])
+def test_plain_kernel_below_one_is_one_line_config_error(
+        workspace, tmp_path, capsys, monkeypatch, env):
+    # the plain frontend's free kernels may be 1 long, but no shorter; a
+    # negative odd length used to reach the initializer's square root
+    root, cfg = workspace
+    monkeypatch.setenv("HYMAD_MODEL_FRONTEND", "plain")
+    for key, value in env.items():
+        monkeypatch.setenv(f"HYMAD_MODEL_{key}", value)
+    rc = cli.main(["train", "--config", str(cfg),
+                   "--dataset", str(root / "data"),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    field = list(env)[-1].lower()          # the length's own field
+    assert err == f"config error: model.{field} must be odd and >= 1, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("source", ["ini", "env"])
 @pytest.mark.parametrize("key", [f"{s}.{k}" for s, keys in REMOVED_KEYS.items()
                                  for k in keys])

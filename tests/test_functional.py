@@ -10,7 +10,7 @@ from hymad.errors import NumericError, ShapeError
 from hymad import functional as F
 from hymad.tensor import Tensor
 
-from oracles import (attention, avg_pool1d, conv1d_same_fft,
+from oracles import (add, attention, avg_pool1d, conv1d_same_fft,
                      conv1d_same_naive, dense_composed, grad_check, index,
                      log_pool_energy_composed, matmul, rnn_forward_unrolled,
                      softmax_rows, softmax_rows_composed, transpose)
@@ -248,71 +248,92 @@ def test_dense_matches_matmul_plus_bias():
     np.testing.assert_allclose(out, x @ w + b, atol=1e-14)
 
 
-# x shape, bias shape: a row batch, and a [T, d] bias (the stream
-# projections' positional encoding) broadcast over a [B, T, d] batch
+# x shape and the shape of the term added to the product: a row batch plus
+# its [d] bias, and a [B, T, d] batch plus the bias and a [T, d] positional
+# table (the stream projections) or plus the bias alone
 DENSE_CASES = [((5, 3), (4,)), ((2, 6, 3), (6, 4)), ((2, 6, 3), (4,))]
 
 
 def _dense_leaves(x_shape, b_shape, seed):
+    """x, w and a [4] bias as leaves, and a constant table of shape
+    `b_shape` when that has two axes, else None."""
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.standard_normal(s), requires_grad=True)
-            for s in (x_shape, (x_shape[-1], 4), b_shape)]
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in (x_shape, (x_shape[-1], 4), (4,))]
+    return leaves, rng.standard_normal(b_shape) if len(b_shape) == 2 else None
 
 
 @pytest.mark.parametrize("act", ["relu", "linear"])
 @pytest.mark.parametrize("x_shape, b_shape", DENSE_CASES)
 def test_dense_matches_composed_oracle(x_shape, b_shape, act):
-    fused = _dense_leaves(x_shape, b_shape, 40)
-    composed = [Tensor(t.data.copy(), requires_grad=True) for t in fused]
-    out = F.dense(*fused, act)
-    ref = dense_composed(*composed, act)
+    # the oracle adds the table to the bias, as the graph did before `dense`
+    # took the table, and its two adds sum the bias gradient over the batch,
+    # then over time, as `dense` does; its weight gradient sums per-sample
+    # products, and without a table its bias gradient sums both axes at once
+    fused, pos = _dense_leaves(x_shape, b_shape, 40)
+    x, w, b = composed = [Tensor(t.data.copy(), requires_grad=True)
+                          for t in fused]
+    out = F.dense(*fused, act, pos=pos)
+    ref = dense_composed(x, w, b if pos is None else add(b, pos), act)
     assert len(out._parents) == 3 and all(p.grad is None for p in fused)
-    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    assert out.data.tobytes() == ref.data.tobytes()
     if act == "relu":
         assert (out.data == 0.0).any() and (out.data > 0.0).any()
-    w = np.random.default_rng(41).standard_normal(out.shape)
-    (out * w).sum().backward()
-    (ref * w).sum().backward()
+    g = np.random.default_rng(41).standard_normal(out.shape)
+    (out * g).sum().backward()
+    (ref * g).sum().backward()
+    exact = [0, 2] if pos is not None or len(x_shape) == 2 else [0]
+    for i in exact:
+        assert fused[i].grad.tobytes() == composed[i].grad.tobytes(), i
     for a, b in zip(fused, composed):
         np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("act", ["relu", "linear"])
 def test_dense_gradients_match_finite_differences(act):
-    leaves = _dense_leaves((2, 6, 3), (6, 4), 42)
+    leaves, pos = _dense_leaves((2, 6, 3), (6, 4), 42)
     w = np.random.default_rng(43).standard_normal((2, 6, 4))
-    rep = grad_check(lambda: (F.dense(*leaves, act) * w).sum(), leaves)
+    rep = grad_check(lambda: (F.dense(*leaves, act, pos=pos) * w).sum(),
+                     leaves)
     assert rep["max_rel_err"] < 1e-6
 
 
 @st.composite
 def _dense_shapes(draw):
-    """x [..., d_in], w [d_in, d_out] and a bias shape that broadcasts to the
-    output: a suffix of its shape with any sides set to 1."""
+    """x [..., d_in], w [d_in, d_out] and either None or the shape of a
+    positional table over the output's last two axes."""
     out = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
     d_in = draw(st.integers(1, 3))
-    kept = out[len(out) - draw(st.integers(0, len(out))):]
-    bias = tuple(draw(st.sampled_from([1, n])) for n in kept)
-    return out[:-1] + (d_in,), (d_in, out[-1]), bias
+    return (out[:-1] + (d_in,), (d_in, out[-1]),
+            out[-2:] if draw(st.booleans()) else None)
 
 
 @settings(max_examples=30)
 @example(shapes=((2, 4, 3), (3, 2), (4, 2)), seed=0)   # bias plus positions
 @given(shapes=_dense_shapes(), seed=st.integers(0, 2 ** 32 - 1))
 def test_dense_broadcast_bias_gradient_matches_finite_differences(shapes, seed):
+    # the [d_out] bias broadcasts over every leading axis of the output, and
+    # the table over all but the last two
+    x_shape, w_shape, pos_shape = shapes
     rng = np.random.default_rng(seed)
-    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes)
-    g = rng.standard_normal(shapes[0][:-1] + shapes[1][-1:])
-    rep = grad_check(lambda: (F.dense(x, w, b) * g).sum(), [x, w, b])
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in (x_shape, w_shape, w_shape[1:]))
+    pos = None if pos_shape is None else rng.standard_normal(pos_shape)
+    g = rng.standard_normal(x_shape[:-1] + w_shape[1:])
+    rep = grad_check(lambda: (F.dense(x, w, b, pos=pos) * g).sum(), [x, w, b])
     assert rep["max_rel_err"] < 1e-6
 
 
 def test_dense_rejects_bad_shapes_and_activation():
-    x, w, b = _dense_leaves((5, 3), (4,), 44)
+    (x, w, b), _ = _dense_leaves((5, 3), (4,), 44)
     with pytest.raises(ShapeError):
         F.dense(x, Tensor(np.ones((2, 4))), b)
     with pytest.raises(ShapeError):
         F.dense(Tensor(np.ones(3)), w, b)
+    # the bias is [d_out]; a per-position term is the constant table
+    for bias in (np.ones((5, 4)), np.ones((1, 4)), np.ones(3)):
+        with pytest.raises(ShapeError, match="bias"):
+            F.dense(x, w, Tensor(bias))
     with pytest.raises(ValueError):
         F.dense(x, w, b, "tanh")
 

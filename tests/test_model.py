@@ -287,11 +287,12 @@ def _graph_nodes(root) -> list:
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 60), ({"branches": 3}, 71), ({"fusion_mode": "concat"}, 46),
-], ids=["default-60", "branches3-71", "concat-46"])
+    ({}, 56), ({"branches": 3}, 67), ({"fusion_mode": "concat"}, 42),
+], ids=["default-56", "branches3-67", "concat-42"])
 def test_training_graph_size(overrides, limit):
-    # each sinc bank, attention block, affine layer, the frontend energy and
-    # its standardiser is one node; a change that splits one back into primitives grows the graph
+    # each sinc bank, attention block, affine layer (with its bias and
+    # positional table), the frontend energy and its standardiser is one
+    # node; a change that splits one back into primitives grows the graph
     # past the limit
     cfg = M.ModelConfig(**overrides)
     p = M.init_params(cfg, seed=0)

@@ -325,6 +325,74 @@ def test_blas_threads_are_restored_after_a_pooled_step():
     assert get() == before
 
 
+def in_threads(*targets, timeout=120):
+    """Each target called in a thread of its own, all started at once; their
+    results in order, or the first error raised in one."""
+    results, errors = [None] * len(targets), []
+
+    def run(i, fn):
+        try:
+            results[i] = fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i, fn))
+               for i, fn in enumerate(targets)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a thread did not finish"
+    if errors:
+        raise errors[0]
+    return results
+
+
+@needs_pool
+def test_pooled_steps_in_two_threads_restore_blas_threads():
+    # each thread's pooled blocks save OpenBLAS's count, share it out and
+    # restore it; two threads' blocks run one after the other, so neither
+    # saves the other's share, and each step equals the step run alone
+    get = T._openblas()[0]
+    before = get()
+    batches = [random_batch(64, seed=s) for s in (7, 8)]
+    alone = [microbatched_step(x, y, tiny_model()) for x, y in batches]
+    runs = in_threads(*(
+        lambda x=x, y=y: [microbatched_step(x, y, tiny_model())
+                          for _ in range(20)]
+        for x, y in batches))
+    assert get() == before
+    for steps, step in zip(runs, alone):
+        for s in steps:
+            assert_same_step(s, step)
+
+
+@needs_pool
+def test_two_first_pooled_calls_make_one_pool(monkeypatch):
+    made = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def slow_executor(*args, **kw):
+        time.sleep(0.2)               # long enough for the other call to look
+        made.append(executor(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        slow_executor)
+    cfg = tiny_model()
+    params = M.init_params(cfg, seed=0)
+    x, _ = random_batch(2 * T.CHUNK_ROWS, seed=9)
+    try:
+        first, second = in_threads(
+            *[lambda: T.predict_scores(x, cfg, params)] * 2)
+    finally:
+        for pool in made:
+            pool.shutdown()
+    assert len(made) == 1
+    assert first.tobytes() == second.tobytes()
+
+
 @needs_pool
 @pytest.mark.parametrize("count", [1, 4])
 def test_pooled_step_shares_out_the_callers_blas_threads(monkeypatch, count):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -316,8 +317,9 @@ def _label_byte(labels: np.ndarray) -> int:
     return sum(int(labels[i]) << i for i in range(4))
 
 
-SHARD_RECORD = np.dtype([("label", "u1"), ("sample_id", "<u8"),
-                         ("wave", "<f8", (SEGMENT_LEN,))])
+# a shard record is its 9-byte header, then its wave's SEGMENT_LEN "<f8" samples
+SHARD_HEAD = np.dtype([("label", "u1"), ("sample_id", "<u8")])
+SHARD_RECORD = np.dtype(SHARD_HEAD.descr + [("wave", "<f8", (SEGMENT_LEN,))])
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
@@ -328,10 +330,11 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
         digest = hashlib.sha256()
         with open(out / f"{split}.bin", "wb") as fh:
             for r in ds.split_records(split):
-                rec = np.array((_label_byte(r.labels), r.sample_id,
-                                ds.waves[r.sample_id]), SHARD_RECORD).tobytes()
-                fh.write(rec)
-                digest.update(rec)
+                head = np.array((_label_byte(r.labels), r.sample_id), SHARD_HEAD)
+                wave = np.ascontiguousarray(ds.waves[r.sample_id], "<f8")
+                for part in (head, wave.reshape(SEGMENT_LEN)):
+                    fh.write(part)
+                    digest.update(part)
         shard_digests[split] = digest.hexdigest()
 
     cfg = ds.config
@@ -367,7 +370,8 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
         ratios = tuple(float(v) for v in header["ratios"].split(","))
         cfg = DatasetConfig(int(header["n_per_class"]), ratios,
                             int(header["seed"]), int(header["delay_max"]),
-                            float(header["scale_lo"]), float(header["scale_hi"]))
+                            float(header["scale_lo"]),
+                            float(header["scale_hi"])).validate()
         records = [_parse_record(line) for line in body.splitlines()]
         if len({r.sample_id for r in records}) != len(records):
             raise ValueError("a sample_id repeats")
@@ -375,42 +379,55 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
         if empty:
             raise ValueError(f"no records in split(s) {sorted(empty)}")
         digests = {s: header[f"shard_{s}"] for s in SPLITS}
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:    # a ConfigError is a ValueError
         raise CompatibilityError(f"malformed manifest {file}: {exc}") from exc
     return cfg, records, digests
 
 
 def _read_shard(path: Path, split: str, digest: str,
-                records: list[SampleRecord]) -> np.ndarray:
-    """Read one split's shard and check it against the manifest in that read.
+                records: list[SampleRecord], keep: bool = True) -> np.ndarray:
+    """Stream one split's shard and check it against the manifest: its size
+    before any byte is read, the digest of every byte in file order, and the
+    sample ids and label bytes in manifest order.
 
-    Returns the shard's records, a read-only view of its bytes; the bytes
-    live exactly as long as the caller keeps that view.
+    Returns the waves as one read-only [n, SEGMENT_LEN] array; with `keep`
+    false every wave passes through one reused row, so one record is held.
     """
     file = path / f"{split}.bin"
-    blob = file.read_bytes()
-    if hashlib.sha256(blob).hexdigest() != digest:
-        raise CompatibilityError(f"{file} does not match its manifest digest")
-    if len(blob) % SHARD_RECORD.itemsize:
-        raise CompatibilityError(f"{file} is not a whole number of records")
-    shard = np.frombuffer(blob, SHARD_RECORD)
     held = [r for r in records if r.split == split]
-    if shard["sample_id"].tolist() != [r.sample_id for r in held] \
-            or shard["label"].tolist() != [_label_byte(r.labels) for r in held]:
+    heads = np.empty(len(held), SHARD_HEAD)
+    sha = hashlib.sha256()
+    with open(file, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size != len(held) * SHARD_RECORD.itemsize:
+            raise CompatibilityError(f"{file} is not the {len(held)} "
+                                     f"{split} records of its manifest")
+        waves = np.empty((len(held) if keep else 1, SEGMENT_LEN), "<f8")
+        for i, head in enumerate(heads.view(np.uint8).reshape(len(held), -1)):
+            for part in (head, waves[i if keep else 0].view(np.uint8)):
+                if fh.readinto(part) != part.size:
+                    raise CompatibilityError(f"{file} ended while it was read")
+                sha.update(part)
+    if sha.hexdigest() != digest:
+        raise CompatibilityError(f"{file} does not match its manifest digest")
+    if heads["sample_id"].tolist() != [r.sample_id for r in held] \
+            or heads["label"].tolist() != [_label_byte(r.labels) for r in held]:
         raise CompatibilityError(f"{file} does not hold the manifest's "
                                  f"{split} samples and labels in order")
-    return shard
+    waves.flags.writeable = False
+    return waves
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a saved dataset; any malformed file raises CompatibilityError.
-    The waveforms are read-only views of the shard bytes."""
+    Each split's shard is read straight into one [n, SEGMENT_LEN] float64
+    array, so each waveform is a read-only, C-contiguous, aligned row."""
     path = Path(path)
     cfg, records, digests = _read_manifest(path)
     waves = {}
     for split in SPLITS:
-        shard = _read_shard(path, split, digests[split], records)
-        waves.update(zip(shard["sample_id"].tolist(), shard["wave"]))
+        rows = _read_shard(path, split, digests[split], records)
+        held = (r.sample_id for r in records if r.split == split)
+        waves.update(zip(held, rows))
     return Dataset(cfg, records, waves)
 
 
@@ -420,12 +437,13 @@ def manifest_digest(path: str | Path) -> str:
 
 def verify_shards(path: str | Path) -> bool:
     """Whether `load_dataset` would accept the shards of the dataset at `path`.
-    Each shard's bytes are dropped before the next shard is read."""
+    It makes the same checks in the same reader, but holds one record at a
+    time: every wave is read into one reused row."""
     path = Path(path)
     try:
         _, records, digests = _read_manifest(path)
         for split in SPLITS:
-            _read_shard(path, split, digests[split], records)
+            _read_shard(path, split, digests[split], records, keep=False)
     except CompatibilityError:
         return False
     return True

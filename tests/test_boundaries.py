@@ -9,8 +9,12 @@ of a test function and rejects function-scoped fixtures such as `tmp_path`.
 
 import hashlib
 import math
+import os
 import tempfile
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +29,13 @@ from hymad.tensor import Tensor
 probe = settings(max_examples=12)
 
 
+SMALL = D.DatasetConfig(n_per_class=3, ratios=(0.34, 0.33, 0.33), seed=2)
+
+
 @pytest.fixture(scope="module")
 def files() -> dict[str, bytes]:
     """A small saved dataset (21 waveforms over three non-empty splits)."""
-    ds = D.build_dataset(D.DatasetConfig(n_per_class=3, ratios=(0.34, 0.33, 0.33),
-                                         seed=2))
+    ds = D.build_dataset(SMALL)
     with tempfile.TemporaryDirectory() as tmp:
         out = D.save_dataset(ds, tmp)
         return {p.name: p.read_bytes() for p in out.iterdir()}
@@ -57,6 +63,80 @@ def test_untouched_dataset_loads(files):
         for split in D.SPLITS:
             x, _, _ = ds.arrays(split)
             assert x.shape[1] == D.SEGMENT_LEN
+
+
+def test_loaded_waves_are_aligned_read_only_rows_of_one_array_per_split(files):
+    built = D.build_dataset(SMALL)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = D.load_dataset(write_dataset(tmp, files))
+    for split in D.SPLITS:
+        ids = [r.sample_id for r in loaded.split_records(split)]
+        rows = loaded.waves[ids[0]].base
+        assert rows.shape == (len(ids), D.SEGMENT_LEN) and rows.dtype == "<f8"
+        for i, sid in enumerate(ids):
+            wave = loaded.waves[sid]
+            assert wave.base is rows and np.shares_memory(wave, rows[i])
+            assert wave.flags.c_contiguous and wave.flags.aligned
+            assert wave.ctypes.data % 8 == 0 and not wave.flags.writeable
+            assert wave.tobytes() == built.waves[sid].tobytes()
+
+
+@contextmanager
+def traced_peak():
+    """Yields a list that, once the block ends, holds the most bytes
+    tracemalloc saw allocated in the block beyond those allocated when it
+    began; numpy's buffers are traced."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        peak = []
+        yield peak
+        peak.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_shards_are_read_in_bounded_memory(tmp_path):
+    out = D.save_dataset(D.build_dataset(D.DatasetConfig(n_per_class=10, seed=1)),
+                         tmp_path)
+    assert max((out / f"{s}.bin").stat().st_size for s in D.SPLITS) >= 3 * 2 ** 20
+    record = D.SHARD_RECORD.itemsize
+    with traced_peak() as peak:
+        verified = D.verify_shards(out)
+    assert verified and peak[0] < 2 * record
+    with traced_peak() as peak:
+        loaded = D.load_dataset(out)
+    assert peak[0] <= len(loaded.waves) * D.SEGMENT_LEN * 8 + record
+
+
+@pytest.mark.parametrize("split", D.SPLITS)
+def test_shard_grown_to_a_gibibyte_is_refused_before_it_is_read(files, split):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, files)
+        os.truncate(Path(tmp) / f"{split}.bin", 2 ** 30)     # sparse: no blocks
+        with traced_peak() as peak, pytest.raises(CompatibilityError):
+            D.load_dataset(tmp)
+        assert peak[0] < 2 ** 20
+        with traced_peak() as peak:
+            verified = D.verify_shards(tmp)
+        assert not verified and peak[0] < 2 ** 20
+
+
+@pytest.mark.parametrize("keep", [0, 5, D.SHARD_RECORD.itemsize + 100])
+def test_shard_that_shrinks_while_it_is_read_is_rejected(files, keep):
+    # the size check sees the whole shard, as if the file were cut just after
+    # it was opened; then a read comes back short
+    whole = SimpleNamespace(st_size=len(files["val.bin"]))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        write_dataset(tmp, files, **{"val.bin": files["val.bin"][:keep]})
+        mp.setattr(D.os, "fstat", lambda fd: whole)
+        with pytest.raises(CompatibilityError, match="ended while it was read"):
+            D.load_dataset(tmp)
+        assert not D.verify_shards(tmp)
 
 
 @probe
@@ -87,10 +167,15 @@ def test_manifest_cut_at_any_line_is_rejected(files, data):
 def test_malformed_manifest_lines_are_rejected(files):
     lines = files["manifest"].decode().splitlines(keepends=True)
     body = lines.index("[samples]\n")
+    key = {line.split(" = ")[0]: i for i, line in enumerate(lines[:body])}
     for at, bad in ((0, "hymad-dataset v2\n"), (1, "seed: 2\n"),
                     (body - 1, "shard_test = 00\n"), (body + 1, "garbage\n"),
                     (body + 1, lines[body + 1].replace("\ttrain\t", "\tother\t")),
-                    (body + 1, lines[body + 1].replace("\t1000\t", "\t10\t"))):
+                    (body + 1, lines[body + 1].replace("\t1000\t", "\t10\t")),
+                    # parsed, but not a config that `DatasetConfig.validate` passes
+                    (key["n_per_class"], "n_per_class = -7\n"),
+                    (key["ratios"], "ratios = 0.5\n"), (key["seed"], "seed = -1\n"),
+                    (key["scale_lo"], "scale_lo = nan\n")):
         assert bad != lines[at]
         edited = lines[:at] + [bad] + lines[at + 1:]
         assert_dataset_rejected(files, manifest="".join(edited).encode())

@@ -254,6 +254,15 @@ def test_manifest_byte_identical_regeneration(tmp_path):
             (d2 / f"{split}.bin").read_bytes()
 
 
+def test_shards_hold_the_documented_record_layout(dataset, tmp_path):
+    out = D.save_dataset(dataset, tmp_path / "ds")
+    for split in D.SPLITS:
+        records = [(sum(int(b) << i for i, b in enumerate(r.labels)), r.sample_id,
+                    dataset.waves[r.sample_id]) for r in dataset.split_records(split)]
+        assert (out / f"{split}.bin").read_bytes() == \
+            np.array(records, D.SHARD_RECORD).tobytes()
+
+
 def test_verify_shards_detects_corruption(dataset, tmp_path):
     out = D.save_dataset(dataset, tmp_path / "ds")
     assert D.verify_shards(out)

@@ -9,6 +9,7 @@ Every sample carries its sources and seed, so regeneration is byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,6 +26,9 @@ PAIR_CLASSES = (("human", "animal"), ("human", "vehicle"), ("vehicle", "animal")
 SPLITS = ("train", "val", "test")
 LABEL_INDEX = {c: i for i, c in enumerate(CLASSES)}
 MANIFEST_VERSION = 1
+# the lines of a manifest's header and the most bytes a manifest line may hold
+HEADER_LINES = 10
+MANIFEST_LINE_MAX = 4096
 
 
 def label_vector(active: list[str]) -> np.ndarray:
@@ -70,13 +74,18 @@ def normalize(x: np.ndarray) -> np.ndarray:
     sd = x.std()
     if sd < 1e-12:
         return np.zeros_like(x)
-    return (x - mu) / sd
+    out = x - mu
+    out /= sd
+    return out
 
 
 # -- parametric event models --------------------------------------------------
+# They work in place where they can: `build_dataset` generates each wave while
+# its splits' arrays are already allocated, so their temporaries set its peak.
 
 def _impulse_train(rng, rate_lo, rate_hi, decay, freq_lo, freq_hi,
                    amp_lo, amp_hi, jitter_s):
+    """Damped sine bursts at a jittered rate, plus 0.05 white noise."""
     t = np.arange(SEGMENT_LEN) / FS
     x = np.zeros(SEGMENT_LEN)
     rate = rng.uniform(rate_lo, rate_hi)
@@ -88,15 +97,23 @@ def _impulse_train(rng, rate_lo, rate_hi, decay, freq_lo, freq_hi,
             continue
         amp = rng.uniform(amp_lo, amp_hi)
         f = rng.uniform(freq_lo, freq_hi)
-        tail = t[t >= t0] - t0
-        x[SEGMENT_LEN - tail.size:] += amp * np.exp(-tail / decay) * np.sin(
-            2.0 * np.pi * f * tail)
+        _add_burst(x, t[t >= t0] - t0, amp, f, decay)
+    x += 0.05 * rng.standard_normal(SEGMENT_LEN)
     return x
 
 
+def _add_burst(x, tail, amp, f, decay):
+    """x[-len(tail):] += amp * exp(-tail / decay) * sin(2 pi f tail), in place."""
+    burst = tail / -decay
+    np.exp(burst, out=burst)
+    burst *= amp
+    tail *= 2.0 * np.pi * f
+    burst *= np.sin(tail, out=tail)
+    x[SEGMENT_LEN - tail.size:] += burst
+
+
 def _band_noise(rng, f_lo, f_hi):
-    white = rng.standard_normal(SEGMENT_LEN)
-    spec = np.fft.rfft(white)
+    spec = np.fft.rfft(rng.standard_normal(SEGMENT_LEN))
     freqs = np.fft.rfftfreq(SEGMENT_LEN, 1.0 / FS)
     spec[(freqs < f_lo) | (freqs > f_hi)] = 0.0
     return np.fft.irfft(spec, SEGMENT_LEN)
@@ -106,19 +123,20 @@ def gen_event(cls: str, rng: np.random.Generator) -> np.ndarray:
     """One raw (un-normalized) single-activity segment."""
     if cls == "human":
         # periodic heavy footfalls: 1.5-2.5 Hz damped impulses, ~40 ms decay
-        x = _impulse_train(rng, 1.5, 2.5, 0.040, 20.0, 50.0, 0.8, 1.2, 0.005)
-        return x + 0.05 * rng.standard_normal(SEGMENT_LEN)
+        return _impulse_train(rng, 1.5, 2.5, 0.040, 20.0, 50.0, 0.8, 1.2, 0.005)
     if cls == "animal":
         # lighter, irregular impulse train at 3-6 Hz with jittered timing
-        x = _impulse_train(rng, 3.0, 6.0, 0.020, 40.0, 90.0, 0.3, 0.8, 0.030)
-        return x + 0.05 * rng.standard_normal(SEGMENT_LEN)
+        return _impulse_train(rng, 3.0, 6.0, 0.020, 40.0, 90.0, 0.3, 0.8, 0.030)
     if cls == "vehicle":
         # continuous 5-80 Hz rumble under slow amplitude modulation
-        t = np.arange(SEGMENT_LEN) / FS
         fm = rng.uniform(0.3, 2.0)
-        am = 1.0 + 0.5 * np.sin(2.0 * np.pi * fm * t + rng.uniform(0, 2 * np.pi))
-        x = am * _band_noise(rng, 5.0, 80.0)
-        return x + 0.02 * rng.standard_normal(SEGMENT_LEN)
+        phase = rng.uniform(0, 2 * np.pi)
+        x = _band_noise(rng, 5.0, 80.0)
+        # a float time axis: dividing integers would add a casting buffer
+        x *= 1.0 + 0.5 * np.sin(
+            2.0 * np.pi * fm * (np.arange(SEGMENT_LEN, dtype=float) / FS) + phase)
+        x += 0.02 * rng.standard_normal(SEGMENT_LEN)
+        return x
     if cls == "no_event":
         return rng.standard_normal(SEGMENT_LEN)
     raise ConfigError(f"unknown class {cls!r}")
@@ -148,7 +166,11 @@ def superpose(primary: Waveform, secondary: Waveform, delay: int,
     shifted[delay:] = secondary.samples[:SEGMENT_LEN - delay]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            mixed = normalize(a * primary.samples + b * shifted)
+            # b * shifted + a * primary, in place in `shifted` (see the
+            # event models)
+            shifted *= b
+            shifted += a * primary.samples
+            mixed = normalize(shifted)
     except FloatingPointError as exc:
         raise ConfigError(f"scales {a!r}, {b!r} overflow the float64 mixture; "
                           "lower dataset.scale_hi") from exc
@@ -222,58 +244,64 @@ class DatasetConfig:
 class Dataset:
     config: DatasetConfig
     records: list[SampleRecord]
-    waves: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
+    # split -> its waves as one [n, SEGMENT_LEN] float64 array, whose row i
+    # is split_records(split)[i]
+    x: dict[str, np.ndarray] = field(repr=False)
 
     def split_records(self, split: str) -> list[SampleRecord]:
         return [r for r in self.records if r.split == split]
 
     def arrays(self, split: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The split's stored waves themselves, not a copy, with their
+        labels and sample ids."""
         recs = self.split_records(split)
-        x = np.stack([self.waves[r.sample_id] for r in recs])
-        y = np.stack([r.labels for r in recs])
-        return x, y, [r.sample_id for r in recs]
+        return (self.x[split], np.array([r.labels for r in recs]),
+                [r.sample_id for r in recs])
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
-    """Generate singles, split them, then build within-split pair mixtures."""
+    """Split the singles' ids, then generate each single and each
+    within-split pair mixture straight into its row of its split's array."""
     cfg.validate()
     n = cfg.n_per_class
-    singles: dict[int, Waveform] = {}
-    ids_by_class: dict[str, list[int]] = {c: [] for c in CLASSES}
-    next_id = 0
-    for cls in CLASSES:
-        for i in range(n):
-            w = gen_single(cls, cfg.seed, i)
-            w.sample_id = next_id
-            w.source_ids = [next_id]
-            singles[next_id] = w
-            ids_by_class[cls].append(next_id)
-            next_id += 1
-
+    ids_by_class = {c: list(range(k * n, (k + 1) * n))
+                    for k, c in enumerate(CLASSES)}
     parts = split_ids(ids_by_class, cfg.ratios, cfg.seed)
     for split, idset in parts.items():
         if not idset:
             raise ConfigError(
                 f"split {split!r} is empty; increase n_per_class "
                 "or adjust ratios")
-        for sid in idset:
-            singles[sid].split = split
 
+    # every class splits the same way, so a split of s sources holds s/4 of
+    # each class and s/4 mixtures of each of the three pairs: 7s/4 rows
+    x = {s: np.empty((7 * len(parts[s]) // 4, SEGMENT_LEN)) for s in SPLITS}
+    rows = {s: iter(x[s]) for s in SPLITS}
     records: list[SampleRecord] = []
-    waves: dict[int, np.ndarray] = {}
-    for sid, w in singles.items():
-        combo = CLASSES[int(np.argmax(w.labels))]
-        records.append(SampleRecord(sid, combo, w.split, w.labels, [sid],
-                                    seed=cfg.seed))
-        waves[sid] = w.samples
 
+    def keep(w: Waveform, record: SampleRecord) -> Waveform:
+        """Moves w's samples to the next row of its split; keeps the record."""
+        row = next(rows[w.split])
+        row[:] = w.samples
+        w.samples = row
+        records.append(record)
+        return w
+
+    singles = {}
+    for sid in range(len(CLASSES) * n):
+        cls = CLASSES[sid // n]
+        split = next(s for s in SPLITS if sid in parts[s])
+        w = gen_single(cls, cfg.seed, sid % n, split)
+        w.source_ids = [sid]
+        singles[sid] = keep(w, SampleRecord(sid, cls, split, w.labels, [sid],
+                                            seed=cfg.seed))
+
+    next_id = len(singles)
     for pair_idx, (c1, c2) in enumerate(PAIR_CLASSES):
         combo = f"{c1}+{c2}"
         for split in SPLITS:
-            pool1 = [i for i in ids_by_class[c1] if singles[i].split == split]
-            # every class splits n_per_class sources with the same counts,
-            # so both pools are non-empty once every split is
-            pool2 = [i for i in ids_by_class[c2] if singles[i].split == split]
+            pool1 = [i for i in ids_by_class[c1] if i in parts[split]]
+            pool2 = [i for i in ids_by_class[c2] if i in parts[split]]
             for j in range(len(pool1)):
                 rng = np.random.default_rng([cfg.seed, 0xA0 + pair_idx,
                                              SPLITS.index(split), j])
@@ -284,14 +312,12 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
                 a, b = np.exp(rng.uniform(np.log(cfg.scale_lo),
                                           np.log(cfg.scale_hi), 2))
                 mixed = superpose(p, s, delay, float(a), float(b))
-                mixed.sample_id = next_id
-                records.append(SampleRecord(next_id, combo, split, mixed.labels,
-                                            mixed.source_ids, delay,
-                                            float(a), float(b), cfg.seed))
-                waves[next_id] = mixed.samples
+                keep(mixed, SampleRecord(next_id, combo, split, mixed.labels,
+                                         mixed.source_ids, delay, float(a),
+                                         float(b), cfg.seed))
                 next_id += 1
 
-    return Dataset(cfg, records, waves)
+    return Dataset(cfg, records, x)
 
 
 # -- on-disk layout: manifest (text) + one binary shard per split -------------
@@ -329,9 +355,10 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
     for split in SPLITS:
         digest = hashlib.sha256()
         with open(out / f"{split}.bin", "wb") as fh:
-            for r in ds.split_records(split):
+            for r, wave in zip(ds.split_records(split), ds.x[split],
+                               strict=True):
                 head = np.array((_label_byte(r.labels), r.sample_id), SHARD_HEAD)
-                wave = np.ascontiguousarray(ds.waves[r.sample_id], "<f8")
+                wave = np.ascontiguousarray(wave, "<f8")
                 for part in (head, wave.reshape(SEGMENT_LEN)):
                     fh.write(part)
                     digest.update(part)
@@ -353,26 +380,38 @@ def save_dataset(ds: Dataset, out_dir: str | Path) -> Path:
 
 
 def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]:
-    """The one manifest parser: config, records and shard digests."""
+    """The one manifest parser: config, records and shard digests.  It reads
+    no line past MANIFEST_LINE_MAX bytes, the header's HEADER_LINES lines and
+    at most the 7 * n_per_class record lines its config allows (4n singles
+    and n mixtures of each pair), so a longer file is refused unread."""
     file = path / "manifest"
     try:
-        text = file.read_text(encoding="utf-8")
-        head, found, body = text.partition("\n[samples]\n")
-        if not found:
-            raise ValueError("no [samples] line")
-        lines = head.split("\n")
-        if lines[0] != f"hymad-dataset v{MANIFEST_VERSION}":
-            raise ValueError(f"no 'hymad-dataset v{MANIFEST_VERSION}' header")
-        header = dict(line.split(" = ", 1) for line in lines[1:])
+        with open(file, "rb") as fh:
+            def line() -> bytes:
+                got = fh.readline(MANIFEST_LINE_MAX + 1)
+                if len(got) > MANIFEST_LINE_MAX:
+                    raise ValueError(f"a line is over {MANIFEST_LINE_MAX} bytes")
+                return got
+
+            lines = iter(line, b"")
+            if next(lines, b"") != f"hymad-dataset v{MANIFEST_VERSION}\n".encode():
+                raise ValueError(f"no 'hymad-dataset v{MANIFEST_VERSION}' header")
+            header = dict(h.decode().rstrip("\n").split(" = ", 1)
+                          for h in itertools.islice(lines, HEADER_LINES))
+            if next(lines, b"") != b"[samples]\n":
+                raise ValueError("no [samples] line after the header")
+            ratios = tuple(float(v) for v in header["ratios"].split(","))
+            cfg = DatasetConfig(int(header["n_per_class"]), ratios,
+                                int(header["seed"]), int(header["delay_max"]),
+                                float(header["scale_lo"]),
+                                float(header["scale_hi"])).validate()
+            body = list(itertools.islice(lines, 7 * cfg.n_per_class))
+            if fh.read(1):
+                raise ValueError("more records than n_per_class makes")
         # the records' digest also catches a cut last line or final newline
-        if hashlib.sha256(body.encode()).hexdigest() != header["records"]:
+        if hashlib.sha256(b"".join(body)).hexdigest() != header["records"]:
             raise ValueError("the records do not match their digest")
-        ratios = tuple(float(v) for v in header["ratios"].split(","))
-        cfg = DatasetConfig(int(header["n_per_class"]), ratios,
-                            int(header["seed"]), int(header["delay_max"]),
-                            float(header["scale_lo"]),
-                            float(header["scale_hi"])).validate()
-        records = [_parse_record(line) for line in body.splitlines()]
+        records = [_parse_record(r.decode().rstrip("\n")) for r in body]
         if len({r.sample_id for r in records}) != len(records):
             raise ValueError("a sample_id repeats")
         empty = set(SPLITS) - {r.split for r in records}
@@ -423,12 +462,8 @@ def load_dataset(path: str | Path) -> Dataset:
     array, so each waveform is a read-only, C-contiguous, aligned row."""
     path = Path(path)
     cfg, records, digests = _read_manifest(path)
-    waves = {}
-    for split in SPLITS:
-        rows = _read_shard(path, split, digests[split], records)
-        held = (r.sample_id for r in records if r.split == split)
-        waves.update(zip(held, rows))
-    return Dataset(cfg, records, waves)
+    return Dataset(cfg, records, {s: _read_shard(path, s, digests[s], records)
+                                  for s in SPLITS})
 
 
 def manifest_digest(path: str | Path) -> str:

@@ -293,19 +293,19 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
     return report
 
 
-def _microbatch(waves: list, y: np.ndarray, ids: np.ndarray,
+def _microbatch(x: np.ndarray, y: np.ndarray, ids: np.ndarray,
                 cfg: M.ModelConfig, params: dict, epoch: int):
-    """Forward, loss and backward of one microbatch on fresh leaves over the
-    parameter arrays (views, not copies); returns the loss and name -> leaf
-    gradient.  It may run on a pool thread, which does not inherit the
-    caller's numpy error state, so it sets its own: an overflow, invalid or
-    divide-by-zero result raises `NumericError` naming the rows."""
+    """Forward, loss and backward of the rows `ids` of `x` and `y`, gathered
+    here, on fresh leaves over the parameter arrays (views, not copies);
+    returns the loss and name -> leaf gradient.  It may run on a pool thread,
+    which does not inherit the caller's numpy error state, so it sets its
+    own: an overflow, invalid or divide-by-zero raises `NumericError`."""
     where = f"at epoch {epoch}, batch ids {ids.tolist()}"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             leaves = {k: Tensor(p.data, requires_grad=True)
                       for k, p in params.items()}
-            loss = bce_with_logits(M.forward_batch(np.stack(waves), cfg, leaves), y)
+            loss = bce_with_logits(M.forward_batch(x[ids], cfg, leaves), y[ids])
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite loss {where}")
             loss.backward()
@@ -314,25 +314,25 @@ def _microbatch(waves: list, y: np.ndarray, ids: np.ndarray,
     return float(loss.data), {k: t.grad for k, t in leaves.items()}
 
 
-def train_step(waves: list, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
+def train_step(x: np.ndarray, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig,
                params: dict, opt: AdamW, epoch: int = 0) -> float:
-    """One optimizer step over a batch; returns the batch's mean loss.
+    """One optimizer step over the rows `ids` of the waveforms `x` and float
+    targets `y`; returns the batch's mean loss.
 
-    `waves` holds the batch's waveforms, `y` their float targets and `ids`
-    the names a numeric error gives them.  Each microbatch of b of the B
-    rows runs forward and backward on its own graph, and b/B times its leaf
-    gradients is summed outside the graph in microbatch order, so the step
-    sees the gradient and loss of one graph over all B rows.  The
+    Each microbatch of b of the B rows gathers its rows, which a numeric
+    error names, and runs forward and backward on its own graph; b/B times
+    its leaf gradients is summed outside the graph in microbatch order, so
+    the step sees the gradient and loss of one graph over all B rows.  The
     microbatches have CHUNK_ROWS rows and run on the step pool when there
-    is one (`_in_order`).
+    is one (`_in_order`), so at most CHUNK_ROWS * STEP_WORKERS are gathered.
     """
-    n, rows = len(waves), CHUNK_ROWS
-    jobs = [(waves[i:i + rows], y[i:i + rows], ids[i:i + rows], cfg, params,
-             epoch) for i in range(0, n, rows)]
+    n, rows = len(ids), CHUNK_ROWS
+    jobs = [(x, y, ids[i:i + rows], cfg, params, epoch)
+            for i in range(0, n, rows)]
     total, acc = 0.0, None
     with _in_order(_microbatch, jobs) as results:
         for job, (loss, grads) in zip(jobs, results):
-            w = len(job[0]) / n
+            w = len(job[2]) / n
             total += w * loss
             grads = {k: w * g for k, g in grads.items()}
             acc = grads if acc is None else {k: acc[k] + g
@@ -349,9 +349,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     train_cfg.validate()
     cfg = model_cfg.validate()
 
-    # a training step stacks each microbatch from `dataset.waves` as it runs it
-    train_recs = dataset.split_records("train")
-    y_train = np.stack([r.labels for r in train_recs])
+    # each microbatch of a step gathers its rows of the stored split
+    x, y, _ = dataset.arrays("train")
+    y = y.astype(np.float64)
     params = M.init_params(cfg, train_cfg.seed)
     opt = AdamW(params.values(), lr=train_cfg.lr,
                 weight_decay=train_cfg.weight_decay)
@@ -362,10 +362,8 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
 
     for epoch in range(train_cfg.max_epochs):
         losses = []
-        for idx in _batches(len(train_recs), train_cfg.batch_size, rng):
-            waves = [dataset.waves[train_recs[i].sample_id] for i in idx]
-            losses.append(train_step(waves, y_train[idx].astype(np.float64),
-                                     idx, cfg, params, opt, epoch))
+        for idx in _batches(len(x), train_cfg.batch_size, rng):
+            losses.append(train_step(x, y, idx, cfg, params, opt, epoch))
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 
@@ -382,6 +380,15 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
             break
 
     record.wall_time = time.time() - t0
+    # the steps' freed activations stay resident in glibc's heap; hand them
+    # back, or the next large allocation, such as a split's array, which
+    # glibc maps afresh, adds to them: perfbench's train_b128 peak RSS read
+    # 362-389 MB without this and 315 MB with it (2 vCPUs)
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "malloc_trim"):
+        libc.malloc_trim.argtypes = [ctypes.c_size_t]
+        libc.malloc_trim.restype = ctypes.c_int
+        libc.malloc_trim(0)
     final = {k: Tensor(v, requires_grad=True) for k, v in best.items()}
     if out_dir is not None:
         out = Path(out_dir)

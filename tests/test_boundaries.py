@@ -59,7 +59,7 @@ def test_untouched_dataset_loads(files):
     with tempfile.TemporaryDirectory() as tmp:
         ds = D.load_dataset(write_dataset(tmp, files))
         assert D.verify_shards(tmp)
-        assert len(ds.records) == len(ds.waves) == 21
+        assert len(ds.records) == sum(map(len, ds.x.values())) == 21
         for split in D.SPLITS:
             x, _, _ = ds.arrays(split)
             assert x.shape[1] == D.SEGMENT_LEN
@@ -70,15 +70,13 @@ def test_loaded_waves_are_aligned_read_only_rows_of_one_array_per_split(files):
     with tempfile.TemporaryDirectory() as tmp:
         loaded = D.load_dataset(write_dataset(tmp, files))
     for split in D.SPLITS:
-        ids = [r.sample_id for r in loaded.split_records(split)]
-        rows = loaded.waves[ids[0]].base
-        assert rows.shape == (len(ids), D.SEGMENT_LEN) and rows.dtype == "<f8"
-        for i, sid in enumerate(ids):
-            wave = loaded.waves[sid]
-            assert wave.base is rows and np.shares_memory(wave, rows[i])
-            assert wave.flags.c_contiguous and wave.flags.aligned
-            assert wave.ctypes.data % 8 == 0 and not wave.flags.writeable
-            assert wave.tobytes() == built.waves[sid].tobytes()
+        rows = loaded.x[split]
+        assert loaded.arrays(split)[0] is rows
+        n = len(loaded.split_records(split))
+        assert rows.shape == (n, D.SEGMENT_LEN) and rows.dtype == "<f8"
+        assert rows.flags.c_contiguous and rows.flags.aligned
+        assert rows.ctypes.data % 8 == 0 and not rows.flags.writeable
+        assert rows.tobytes() == built.x[split].tobytes()
 
 
 @contextmanager
@@ -110,7 +108,7 @@ def test_shards_are_read_in_bounded_memory(tmp_path):
     assert verified and peak[0] < 2 * record
     with traced_peak() as peak:
         loaded = D.load_dataset(out)
-    assert peak[0] <= len(loaded.waves) * D.SEGMENT_LEN * 8 + record
+    assert peak[0] <= sum(x.nbytes for x in loaded.x.values()) + record
 
 
 @pytest.mark.parametrize("split", D.SPLITS)
@@ -118,6 +116,26 @@ def test_shard_grown_to_a_gibibyte_is_refused_before_it_is_read(files, split):
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(tmp, files)
         os.truncate(Path(tmp) / f"{split}.bin", 2 ** 30)     # sparse: no blocks
+        with traced_peak() as peak, pytest.raises(CompatibilityError):
+            D.load_dataset(tmp)
+        assert peak[0] < 2 ** 20
+        with traced_peak() as peak:
+            verified = D.verify_shards(tmp)
+        assert not verified and peak[0] < 2 ** 20
+
+
+@pytest.mark.parametrize("line", ["none", "header", "record"])
+def test_manifest_grown_to_a_gibibyte_is_refused_before_it_is_read(files,
+                                                                     line):
+    # zeros after the last record, or after the start of a header or a
+    # record line, which they grow past any line's bound
+    manifest = files["manifest"]
+    keep = {"none": len(manifest),
+            "header": manifest.index(b"\nseed = ") + 8,
+            "record": manifest.index(b"\n[samples]\n") + 15}[line]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, files, manifest=manifest[:keep])
+        os.truncate(Path(tmp) / "manifest", 2 ** 30)     # sparse: no blocks
         with traced_peak() as peak, pytest.raises(CompatibilityError):
             D.load_dataset(tmp)
         assert peak[0] < 2 ** 20
@@ -292,9 +310,9 @@ def test_dataset_round_trip_over_configs(n, data):
         assert D.verify_shards(tmp)
     assert loaded.config == cfg
     assert record_fields(loaded) == record_fields(ds)
-    assert loaded.waves.keys() == ds.waves.keys()
-    for sid, wave in ds.waves.items():
-        assert loaded.waves[sid].tobytes() == wave.tobytes()
+    assert loaded.x.keys() == ds.x.keys()
+    for split, x in ds.x.items():
+        assert loaded.x[split].tobytes() == x.tobytes()
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -85,8 +85,8 @@ def nan_data(workspace, tmp_path):
     waveform was set to NaN."""
     from hymad import datagen as D
     ds = D.load_dataset(workspace[0] / "data")
-    ds.waves[ds.split_records("train")[0].sample_id] = np.full(D.SEGMENT_LEN,
-                                                               np.nan)
+    ds.x["train"] = ds.x["train"].copy()
+    ds.x["train"][0] = np.nan
     return D.save_dataset(ds, tmp_path / "nan")
 
 
@@ -140,8 +140,8 @@ def test_nan_test_waveform_is_numeric_error_naming_its_rows(
     from hymad import datagen as D, model as M, train as T
     root, cfg = workspace
     ds = D.load_dataset(root / "data")
-    recs = ds.split_records("test")
-    ds.waves[recs[2].sample_id] = np.full(D.SEGMENT_LEN, np.nan)
+    ds.x["test"] = ds.x["test"].copy()
+    ds.x["test"][2] = np.nan
     data = D.save_dataset(ds, tmp_path / "nan")
     model_cfg = load_config(cfg)[1]
     ckpt = tmp_path / "m.ckpt"
@@ -151,7 +151,7 @@ def test_nan_test_waveform_is_numeric_error_naming_its_rows(
     err = capsys.readouterr().err
     assert rc == 5
     assert err.startswith("numeric error: ")
-    assert err.strip().endswith(f" at rows 0-{len(recs) - 1}")
+    assert err.strip().endswith(f" at rows 0-{len(ds.x['test']) - 1}")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,7 @@ def test_dataset_label_soundness(dataset):
 
 
 def test_dataset_waveforms_normalized(dataset):
-    for wave in dataset.waves.values():
+    for wave in np.concatenate(list(dataset.x.values())):
         assert abs(wave.mean()) <= 1e-9
         assert abs(wave.std() - 1.0) <= 1e-9 or not wave.any()
 
@@ -221,8 +223,28 @@ def test_dataset_deterministic_rebuild(dataset):
         assert a.source_ids == b.source_ids
         assert a.delay == b.delay
         assert a.scale_a == b.scale_a and a.scale_b == b.scale_b
-    for sid in dataset.waves:
-        assert again.waves[sid].tobytes() == dataset.waves[sid].tobytes()
+    for split in D.SPLITS:
+        assert again.x[split].tobytes() == dataset.x[split].tobytes()
+
+
+@pytest.mark.parametrize("n, over_mib", [(10, 1.05), (40, 0.38)])
+def test_build_holds_one_copy_of_its_waves(n, over_mib):
+    # each wave is generated into its row of its split's array, so the
+    # build's peak exceeds the waves' bytes by the records and one wave's
+    # generation, no more than a build that kept a dict of waves did; a
+    # build that stacked its waves at the end would add 4.27 MiB at n=10.
+    # A first build loads numpy's lazily imported modules, so that the
+    # figure does not depend on the tests run before this one
+    D.build_dataset(small_cfg(n=10))
+    tracemalloc.start()
+    try:
+        ds = D.build_dataset(small_cfg(seed=1, n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    waves = sum(x.nbytes for x in ds.x.values())
+    assert waves == 7 * n * D.SEGMENT_LEN * 8
+    assert peak - waves <= over_mib * 2 ** 20, (peak - waves) / 2 ** 20
 
 
 def test_empty_pool_rejected():
@@ -258,7 +280,8 @@ def test_shards_hold_the_documented_record_layout(dataset, tmp_path):
     out = D.save_dataset(dataset, tmp_path / "ds")
     for split in D.SPLITS:
         records = [(sum(int(b) << i for i, b in enumerate(r.labels)), r.sample_id,
-                    dataset.waves[r.sample_id]) for r in dataset.split_records(split)]
+                    wave) for r, wave in zip(dataset.split_records(split),
+                                             dataset.x[split])]
         assert (out / f"{split}.bin").read_bytes() == \
             np.array(records, D.SHARD_RECORD).tobytes()
 

@@ -219,7 +219,7 @@ def test_public_api_is_what_the_package_uses(monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, cfg.input_len))
     y = rng.integers(0, 2, (3, cfg.n_labels)).astype(np.float64)
-    T.train_step(list(x), y, np.arange(3), cfg, params,
+    T.train_step(x, y, np.arange(3), cfg, params,
                  AdamW(list(params.values()), lr=1e-2))
     T.predict_scores(x, cfg, params)
     assert seen == PACKAGE_API

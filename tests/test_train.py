@@ -34,8 +34,7 @@ def tiny_data():
     # small single-activity dataset with short segments, carved from the
     # generated 8000-sample waveforms
     ds = D.build_dataset(D.DatasetConfig(n_per_class=10, seed=1))
-    for sid in ds.waves:
-        ds.waves[sid] = ds.waves[sid][:512].copy()
+    ds.x = {split: x[:, :512].copy() for split, x in ds.x.items()}
     return ds
 
 
@@ -145,8 +144,7 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     # the convolution and attention kernels run their whole batch at once;
     # a training step or prediction bounds it by CHUNK_ROWS, pooled or not
     ds = D.build_dataset(D.DatasetConfig(n_per_class=20, seed=1))
-    for sid in ds.waves:
-        ds.waves[sid] = ds.waves[sid][:512].copy()
+    ds.x = {split: x[:, :512].copy() for split, x in ds.x.items()}
     assert len(ds.split_records("train")) > 70
     seen = []
 
@@ -164,6 +162,34 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
     assert seen and max(seen) == T.CHUNK_ROWS
+
+
+def test_evaluate_and_train_read_the_stored_split_in_place(tiny_data,
+                                                           monkeypatch):
+    # no whole-split copy: evaluate hands predict_scores views of the
+    # stored split, and each microbatch of a step gathers its own rows
+    assert all(tiny_data.arrays(s)[0] is tiny_data.x[s] for s in D.SPLITS)
+    predicted, gathered = [], []
+    predict, microbatch = T.predict_scores, T._microbatch
+
+    def watched_predict(x, *args):
+        predicted.append(x)
+        return predict(x, *args)
+
+    def watched_microbatch(x, *args):
+        gathered.append(x)
+        return microbatch(x, *args)
+
+    monkeypatch.setattr(T, "predict_scores", watched_predict)
+    monkeypatch.setattr(T, "_microbatch", watched_microbatch)
+    cfg = tiny_model()
+    params, _ = T.train(tiny_data, cfg, tiny_train(max_epochs=2))
+    T.evaluate(tiny_data, "test", params, cfg)
+    splits = ["val", "val", "test"]
+    assert len(predicted) == len(splits)
+    for x, split in zip(predicted, splits):
+        assert np.shares_memory(x, tiny_data.x[split])
+    assert gathered and all(x is tiny_data.x["train"] for x in gathered)
 
 
 def test_train_writes_artifacts(tiny_data, tmp_path):
@@ -195,13 +221,15 @@ def microbatched_step(x, y, cfg):
     its loss and the summed gradients it handed the optimizer."""
     params = M.init_params(cfg, seed=0)
     opt = AdamW(params.values(), lr=0.0, weight_decay=0.0)
-    loss = T.train_step(list(x), y, np.arange(len(x)), cfg, params, opt)
+    loss = T.train_step(x, y, np.arange(len(x)), cfg, params, opt)
     return loss, {k: p.grad for k, p in params.items()}
 
 
 def stacked(ds, n):
+    """The waves and float labels of the first n records, in manifest order."""
+    rows = {split: iter(x) for split, x in ds.x.items()}
     recs = ds.records[:n]
-    return (np.stack([ds.waves[r.sample_id] for r in recs]),
+    return (np.stack([next(rows[r.split]) for r in recs]),
             np.stack([r.labels for r in recs]).astype(np.float64))
 
 
@@ -238,8 +266,7 @@ def test_step_memory_does_not_grow_with_batch():
     # one epoch over 140 train rows; at B=128 a step ran one graph over 128
     # rows, and its peak grew with B
     ds = D.build_dataset(D.DatasetConfig(n_per_class=24, seed=1))
-    for sid in ds.waves:
-        ds.waves[sid] = ds.waves[sid][:512].copy()
+    ds.x = {split: x[:, :512].copy() for split, x in ds.x.items()}
     cfg = tiny_model()
     peaks = {}
     for b in (32, 128):
@@ -503,7 +530,7 @@ def test_pooled_overflow_is_numeric_error_naming_its_rows():
     x, y = random_batch(64)
     with pytest.raises(NumericError, match=r"^overflow encountered .* at "
                        r"epoch 3, batch ids \[0, 1, 2, .*15\]$"):
-        T.train_step(list(x), y, np.arange(64), cfg, params,
+        T.train_step(x, y, np.arange(64), cfg, params,
                      AdamW(params.values()), epoch=3)
 
 
@@ -577,11 +604,10 @@ def test_pooled_evaluate_raises_the_first_failing_chunk(tiny_data, monkeypatch,
     # fails after chunk 2, while the last chunk of 8 rows is still running,
     # and its error, naming its rows, is the one raised, once no worker is
     # running
-    ds = replace(tiny_data, waves=dict(tiny_data.waves))
-    recs = ds.split_records("train")
-    assert len(recs) > 40
-    for i in (0, 40):
-        ds.waves[recs[i].sample_id] = np.full(512, np.nan)
+    ds = replace(tiny_data, x={**tiny_data.x,
+                               "train": tiny_data.x["train"].copy()})
+    assert len(ds.split_records("train")) > 40
+    ds.x["train"][[0, 40]] = np.nan
     errors = []
     forward = M.forward_batch
 

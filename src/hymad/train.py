@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import math
 import os
 import struct
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from hymad.errors import CompatibilityError, ConfigError, NumericError
-from hymad import model as M
+from hymad import compute, model as M
 from hymad.datagen import Dataset, decide
 from hymad.functional import bce_with_logits, sigmoid
 from hymad.metrics import MetricsReport, compute_report, write_curves_csv
@@ -78,16 +74,20 @@ def save_checkpoint(path, cfg: M.ModelConfig, params: dict[str, Tensor]):
         for name in sorted(params):
             data = params[name].data
             enc = name.encode()
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
+            fh.write(struct.pack(f"<H{len(enc)}sB{data.ndim}I", len(enc), enc,
+                                 data.ndim, *data.shape))
             fh.write(data.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
-    blob = Path(path).read_bytes()
+    want = {name: t.shape for name, t in M.init_params(cfg).items()}
+    # magic, version, config digest and count, then the model's parameters
+    size = 44 + sum(3 + len(n.encode()) + 4 * len(s) + 8 * math.prod(s)
+                    for n, s in want.items())
+    with open(path, "rb") as fh:
+        # past the head, only a file of exactly that size is read
+        have = os.fstat(fh.fileno()).st_size
+        blob = fh.read(size if have == size else 44)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CompatibilityError(f"{path} is not a checkpoint file")
     off = 4
@@ -105,8 +105,13 @@ def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
     if take(32).hex() != cfg.digest():
         raise CompatibilityError(
             "checkpoint config digest does not match the supplied model config")
-    want = {name: t.shape for name, t in M.init_params(cfg).items()}
     count, = struct.unpack("<I", take(4))
+    if count != len(want):
+        raise CompatibilityError(f"{path} lists {count} parameters, the model "
+                                 f"{len(want)}: one is missing, unknown or repeats")
+    if have != size:
+        raise CompatibilityError(f"{path} has {have - size} trailing bytes"
+                                 if have > size else f"{path} is truncated")
     params = {}
     for _ in range(count):
         nlen, = struct.unpack("<H", take(2))
@@ -118,168 +123,37 @@ def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
                 f"{path}: parameter {name!r} {shape} is not in the model or repeats")
         data = np.frombuffer(take(8 * math.prod(shape)), "<f8").reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
-    if off != len(blob):
-        raise CompatibilityError(f"{path} has {len(blob) - off} trailing bytes")
-    if len(params) != len(want):
-        raise CompatibilityError(
-            f"{path} lacks parameters {sorted(want.keys() - params.keys())}")
     return params
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield perm[i:i + batch_size]
-
-
-# Rows per chunk of a forward pass, training or not, and the one bound on
-# the rows the layers see: the convolution and attention kernels run
-# whatever batch they are handed in one go, so this bounds their segment
-# copies and [B, h, T, T] softmax buffers.  A call of more than CHUNK_ROWS
-# rows runs its chunks on the step pool, so at most CHUNK_ROWS *
-# STEP_WORKERS rows are alive; one of CHUNK_ROWS or fewer runs in the
-# calling thread at full BLAS.  Run as one 32-row graph at 2 BLAS threads,
-# a B=32 step spin-waits the second thread on small GEMMs: the pooled
-# chunks cut `ablate_small`'s CPU from 62 to 44 s per 30 s run and its
-# peak RSS from 79 to 71 MB (BENCH_20.json).
-CHUNK_ROWS = 16
-# Threads the chunks of a call of more than CHUNK_ROWS rows run on.  The
-# forward and backward are mostly single-threaded numpy work, so a second
-# worker uses the core it leaves idle.  With 1, or with fewer cores than
-# workers, or without control of OpenBLAS's threads, the same chunks run
-# one after another in the calling thread.
-STEP_WORKERS = 2
-_pool = None          # made by the first pooled block
-_pooled = threading.Lock()           # held across each pooled block
-_ENGINE_BACKWARD = Tensor.backward   # unwrapped, for _in_order
-M_ARENA_MAX = -8      # glibc's mallopt parameter
-
-
-def _cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when numpy bundles no OpenBLAS that exports such a pair."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
-                               ("openblas", "")):
-            get, put = (f"{prefix}_{op}_num_threads{suffix}"
-                        for op in ("get", "set"))
-            if hasattr(handle, get) and hasattr(handle, put):
-                get, put = getattr(handle, get), getattr(handle, put)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _in_order(fn, jobs: list):
-    """An iterator over fn(*job) for each job, in order.
-
-    More than one job runs on the step pool, unless STEP_WORKERS is 1, the
-    cores are fewer than the workers or OpenBLAS's threads cannot be set.
-    One pooled block runs at a time, and pooled blocks do not nest (a job
-    must not start one): the block holds `_pooled` while it makes the pool
-    on first use, shares OpenBLAS's thread count out among the workers, at
-    least one thread each, and restores it, so a count the caller limited
-    stays limited and two threads' blocks leave it as they found it.  Each
-    result is dropped once taken, so only those not yet taken are alive.
-    The first failing job in order raises, once no worker is running.
-    While `Tensor.backward` is wrapped from outside the package, as
-    perfbench's per-layer tracer wraps it to follow one graph at a time,
-    the jobs run in turn in the calling thread at the workers' BLAS share,
-    which gives the pooled results bit for bit; so do one job, or jobs
-    without a pool.
-
-    Making the pool caps glibc's malloc at its main arena for the whole
-    process: per-thread arenas would keep the workers' freed activations
-    mapped and raise the process's peak memory, and the later evaluation
-    would fault its pages in again.
-    """
-    global _pool
-    in_turn = (fn(*job) for job in jobs)
-    if len(jobs) < 2 or STEP_WORKERS < 2 or _cores() < STEP_WORKERS \
-            or _openblas() is None:
-        yield in_turn
-        return
-    # imported here, so that a process whose steps never pool does not load
-    # the module
-    from concurrent.futures import ThreadPoolExecutor, wait
-    with _pooled:
-        if _pool is None:
-            libc = ctypes.CDLL(None)
-            if hasattr(libc, "mallopt"):
-                libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-                libc.mallopt.restype = ctypes.c_int
-                libc.mallopt(M_ARENA_MAX, 1)
-            _pool = ThreadPoolExecutor(STEP_WORKERS,
-                                       thread_name_prefix="hymad-step")
-        get, put = _openblas()
-        before = get()
-        put(max(1, before // STEP_WORKERS))
-        try:
-            if Tensor.backward is not _ENGINE_BACKWARD:
-                yield in_turn
-                return
-            futures = [_pool.submit(fn, *job) for job in jobs]
-
-            def taken():
-                while futures:
-                    yield futures.pop(0).result()
-
-            try:
-                yield taken()
-            finally:
-                for f in futures:
-                    f.cancel()
-                wait(futures)
-        finally:
-            put(before)
-
-
-def _chunk_scores(x: np.ndarray, start: int, cfg: M.ModelConfig,
+def _chunk_scores(rows: range, x: np.ndarray, cfg: M.ModelConfig,
                   params: dict) -> np.ndarray:
-    """One chunk's scores; grad mode is per thread, so it sets its own."""
+    """The scores of the rows `rows` of `x`; grad mode is per thread, so it
+    sets its own."""
     try:
         with no_grad():
-            return sigmoid(M.forward_batch(x, cfg, params).data)
+            return sigmoid(M.forward_batch(x[rows.start:rows.stop], cfg,
+                                           params).data)
     except NumericError as exc:
         raise NumericError(
-            f"{exc} at rows {start}-{start + len(x) - 1}") from exc
+            f"{exc} at rows {rows.start}-{rows.stop - 1}") from exc
 
 
 def predict_scores(x: np.ndarray, cfg: M.ModelConfig,
                    params: dict) -> np.ndarray:
     """Sigmoid scores [N, n_labels] for a stack of waveforms, without a graph.
 
-    The waveforms run in chunks of CHUNK_ROWS, as a training step's
+    The waveforms run in chunks (`compute.in_order`), as a training step's
     microbatches do; a numeric error names its chunk's rows."""
-    jobs = [(x[i:i + CHUNK_ROWS], i, cfg, params)
-            for i in range(0, x.shape[0], CHUNK_ROWS)]
-    with _in_order(_chunk_scores, jobs) as scores:
-        return np.concatenate(list(scores), axis=0)
-
-
-def _threshold(cfg: M.ModelConfig, threshold: float | None) -> float:
-    """The decision threshold, `cfg.threshold` unless one is given; only
-    (0, 1) is accepted, as for `ModelConfig.threshold`."""
-    thr = cfg.threshold if threshold is None else threshold
-    if not 0.0 < thr < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {thr!r}")
-    return thr
+    with compute.in_order(_chunk_scores, range(len(x)), x, cfg,
+                          params) as results:
+        return np.concatenate([scores for _, scores in results], axis=0)
 
 
 def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
              threshold: float | None = None, out_dir=None) -> MetricsReport:
-    thr = _threshold(cfg, threshold)
+    thr = cfg.threshold if threshold is None else \
+        replace(cfg, threshold=threshold).validate().threshold
     x, y, _ = dataset.arrays(split)
     scores = predict_scores(x, cfg, params)
     report = compute_report(decide(scores, thr), y, scores)
@@ -293,7 +167,7 @@ def evaluate(dataset: Dataset, split: str, params: dict, cfg: M.ModelConfig,
     return report
 
 
-def _microbatch(x: np.ndarray, y: np.ndarray, ids: np.ndarray,
+def _microbatch(ids: np.ndarray, x: np.ndarray, y: np.ndarray,
                 cfg: M.ModelConfig, params: dict, epoch: int):
     """Forward, loss and backward of the rows `ids` of `x` and `y`, gathered
     here, on fresh leaves over the parameter arrays (views, not copies);
@@ -323,16 +197,14 @@ def train_step(x: np.ndarray, y: np.ndarray, ids: np.ndarray, cfg: M.ModelConfig
     error names, and runs forward and backward on its own graph; b/B times
     its leaf gradients is summed outside the graph in microbatch order, so
     the step sees the gradient and loss of one graph over all B rows.  The
-    microbatches have CHUNK_ROWS rows and run on the step pool when there
-    is one (`_in_order`), so at most CHUNK_ROWS * STEP_WORKERS are gathered.
+    microbatches are the chunks of `compute.in_order`, which bounds the
+    rows gathered at once.
     """
-    n, rows = len(ids), CHUNK_ROWS
-    jobs = [(x, y, ids[i:i + rows], cfg, params, epoch)
-            for i in range(0, n, rows)]
-    total, acc = 0.0, None
-    with _in_order(_microbatch, jobs) as results:
-        for job, (loss, grads) in zip(jobs, results):
-            w = len(job[2]) / n
+    n, total, acc = len(ids), 0.0, None
+    with compute.in_order(_microbatch, ids, x, y, cfg, params,
+                          epoch) as results:
+        for chunk, (loss, grads) in results:
+            w = len(chunk) / n
             total += w * loss
             grads = {k: w * g for k, g in grads.items()}
             acc = grads if acc is None else {k: acc[k] + g
@@ -361,9 +233,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     t0 = time.time()
 
     for epoch in range(train_cfg.max_epochs):
-        losses = []
-        for idx in _batches(len(x), train_cfg.batch_size, rng):
-            losses.append(train_step(x, y, idx, cfg, params, opt, epoch))
+        perm, b = rng.permutation(len(x)), train_cfg.batch_size
+        losses = [train_step(x, y, perm[i:i + b], cfg, params, opt, epoch)
+                  for i in range(0, len(x), b)]
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 
@@ -380,15 +252,10 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
             break
 
     record.wall_time = time.time() - t0
-    # the steps' freed activations stay resident in glibc's heap; hand them
-    # back, or the next large allocation, such as a split's array, which
-    # glibc maps afresh, adds to them: perfbench's train_b128 peak RSS read
-    # 362-389 MB without this and 315 MB with it (2 vCPUs)
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "malloc_trim"):
-        libc.malloc_trim.argtypes = [ctypes.c_size_t]
-        libc.malloc_trim.restype = ctypes.c_int
-        libc.malloc_trim(0)
+    # hand back the heap pages the steps freed, or the next large allocation,
+    # such as a split's array, adds to them: perfbench's train_b128 peak RSS
+    # read 362-389 MB without this and 315 MB with it (2 vCPUs)
+    compute.trim_heap()
     final = {k: Tensor(v, requires_grad=True) for k, v in best.items()}
     if out_dir is not None:
         out = Path(out_dir)

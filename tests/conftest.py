@@ -19,7 +19,7 @@ from concurrent.futures import thread
 import pytest
 from hypothesis import settings
 
-from hymad import train as T
+from hymad import compute
 from hymad.tensor import grad_enabled
 
 settings.register_profile("hymad", derandomize=True, deadline=None,
@@ -44,7 +44,7 @@ def busy_workers():
 
 
 def _blas_threads():
-    blas = T._openblas()
+    blas = compute._openblas()
     return blas[0]() if blas else None
 
 
@@ -54,5 +54,5 @@ def process_state_is_restored():
     yield
     assert _blas_threads() == before, "the test changed OpenBLAS's thread count"
     assert _busy_workers() == 0, "a step-pool worker is still running"
-    assert not T._pooled.locked(), "the test left a pooled block's lock held"
+    assert not compute._pooled.locked(), "the test left a pooled block's lock held"
     assert grad_enabled(), "the test left graph construction off"

@@ -144,6 +144,18 @@ def test_manifest_grown_to_a_gibibyte_is_refused_before_it_is_read(files,
         assert not verified and peak[0] < 2 ** 20
 
 
+def test_checkpoint_grown_to_a_gibibyte_is_refused_before_it_is_read(
+        checkpoint):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(checkpoint)
+        os.truncate(path, 2 ** 30)                  # sparse: no blocks
+        with traced_peak() as peak, pytest.raises(CompatibilityError,
+                                                  match="trailing"):
+            T.load_checkpoint(path, tiny_model())
+        assert peak[0] < 2 ** 20
+
+
 @pytest.mark.parametrize("keep", [0, 5, D.SHARD_RECORD.itemsize + 100])
 def test_shard_that_shrinks_while_it_is_read_is_rejected(files, keep):
     # the size check sees the whole shard, as if the file were cut just after

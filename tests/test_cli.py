@@ -97,7 +97,7 @@ def test_nan_waveform_stops_training_at_its_microbatch(
     # the step pool, which run side by side, so the NaN microbatch need not
     # be the last forward; no optimizer step may follow a failed microbatch,
     # and train raises that microbatch's error once no worker is running
-    from hymad import datagen as D, model as M, train as T
+    from hymad import compute, datagen as D, model as M, train as T
     from hymad.errors import NumericError
     events, errors = [], []
     forward = M.forward_batch
@@ -122,7 +122,7 @@ def test_nan_waveform_stops_training_at_its_microbatch(
     if batch_size == 8:
         assert events[-1] == "nan"
     else:
-        assert 64 > len(ds.split_records("train")) > T.CHUNK_ROWS
+        assert 64 > len(ds.split_records("train")) > compute.CHUNK_ROWS
         assert "step" not in events
 
 

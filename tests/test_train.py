@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import gc
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hymad.errors import CompatibilityError, ConfigError, NumericError
-from hymad import datagen as D
+from hymad import compute, datagen as D
 from hymad import functional as F
 from hymad import model as M
 from hymad import train as T
@@ -136,7 +137,7 @@ def test_evaluate_deterministic(tiny_data, tmp_path):
 
 # the step pool runs only with OpenBLAS thread control and a core per worker
 needs_pool = pytest.mark.skipif(
-    T._openblas() is None or T._cores() < T.STEP_WORKERS,
+    compute._openblas() is None or compute._cores() < compute.STEP_WORKERS,
     reason="training steps run sequentially on this machine")
 
 
@@ -158,10 +159,10 @@ def test_no_kernel_call_sees_more_than_step_rows(monkeypatch):
     monkeypatch.setattr(M, "attention_block", watch(M.attention_block))
     params, _ = T.train(ds, tiny_model(), tiny_train(batch_size=70, max_epochs=1))
     # a batch of 70 runs as 16 + 16 + 16 + 16 + 6 rows
-    assert max(seen) == T.CHUNK_ROWS and 6 in seen
+    assert max(seen) == compute.CHUNK_ROWS and 6 in seen
     seen.clear()
     T.evaluate(ds, "train", params, tiny_model())
-    assert seen and max(seen) == T.CHUNK_ROWS
+    assert seen and max(seen) == compute.CHUNK_ROWS
 
 
 def test_evaluate_and_train_read_the_stored_split_in_place(tiny_data,
@@ -176,9 +177,9 @@ def test_evaluate_and_train_read_the_stored_split_in_place(tiny_data,
         predicted.append(x)
         return predict(x, *args)
 
-    def watched_microbatch(x, *args):
+    def watched_microbatch(ids, x, *args):
         gathered.append(x)
-        return microbatch(x, *args)
+        return microbatch(ids, x, *args)
 
     monkeypatch.setattr(T, "predict_scores", watched_predict)
     monkeypatch.setattr(T, "_microbatch", watched_microbatch)
@@ -238,7 +239,7 @@ def test_microbatched_step_matches_one_graph(tiny_data):
     # 6/70 are inexact
     cfg = tiny_model()
     x, y = stacked(tiny_data, 70)
-    assert len(x) == 70 and 4 * T.CHUNK_ROWS < 70 < 5 * T.CHUNK_ROWS
+    assert len(x) == 70 and 4 * compute.CHUNK_ROWS < 70 < 5 * compute.CHUNK_ROWS
     loss, grads = microbatched_step(x, y, cfg)
     ref_loss, ref = train_step_one_graph(x, y, cfg, M.init_params(cfg, seed=0))
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
@@ -251,7 +252,7 @@ def test_microbatched_step_matches_one_graph(tiny_data):
                                    atol=1e-12 * np.abs(ref[k]).max(), err_msg=k)
 
 
-@pytest.mark.parametrize("rows", [5, T.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [5, compute.CHUNK_ROWS])
 def test_step_of_at_most_step_rows_is_the_one_graph_step(tiny_data, rows):
     cfg = tiny_model()
     x, y = stacked(tiny_data, rows)
@@ -309,13 +310,13 @@ def assert_same_step(a, b):
 @needs_pool
 def test_pooled_step_reruns_are_bit_identical(monkeypatch):
     x, y = random_batch(128)
-    get = T._openblas()[0]
+    get = compute._openblas()[0]
     seen = forward_rows(monkeypatch, probe=get)
     runs = [microbatched_step(x, y, tiny_model()) for _ in range(5)]
     # 8 microbatches of 16 rows per step, each worker at its share of
     # OpenBLAS's threads
-    assert sorted(seen) == [(T.CHUNK_ROWS,
-                             max(1, get() // T.STEP_WORKERS))] * 40
+    assert sorted(seen) == [(compute.CHUNK_ROWS,
+                             max(1, get() // compute.STEP_WORKERS))] * 40
     for run in runs[1:]:
         assert_same_step(run, runs[0])
 
@@ -324,12 +325,12 @@ def test_pooled_step_reruns_are_bit_identical(monkeypatch):
 def test_pooled_step_equals_its_microbatches_run_in_turn(monkeypatch):
     x, y = random_batch(128, seed=1)
     pooled = microbatched_step(x, y, tiny_model())
-    assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
+    assert isinstance(compute._pool, concurrent.futures.ThreadPoolExecutor)
     # under a wrapped Tensor.backward the step runs the same 16-row
     # microbatches one after another in this thread, at the same OpenBLAS
     # thread count
-    get = T._openblas()[0]
-    share = max(1, get() // T.STEP_WORKERS)
+    get = compute._openblas()[0]
+    share = max(1, get() // compute.STEP_WORKERS)
     backward = Tensor.backward
     monkeypatch.setattr(Tensor, "backward", lambda t: backward(t))
     seen = forward_rows(monkeypatch,
@@ -341,7 +342,7 @@ def test_pooled_step_equals_its_microbatches_run_in_turn(monkeypatch):
 
 @needs_pool
 def test_blas_threads_are_restored_after_a_pooled_step():
-    get = T._openblas()[0]
+    get = compute._openblas()[0]
     before = get()
     x, y = random_batch(70)
     microbatched_step(x, y, tiny_model())
@@ -380,7 +381,7 @@ def test_pooled_steps_in_two_threads_restore_blas_threads():
     # each thread's pooled blocks save OpenBLAS's count, share it out and
     # restore it; two threads' blocks run one after the other, so neither
     # saves the other's share, and each step equals the step run alone
-    get = T._openblas()[0]
+    get = compute._openblas()[0]
     before = get()
     batches = [random_batch(64, seed=s) for s in (7, 8)]
     alone = [microbatched_step(x, y, tiny_model()) for x, y in batches]
@@ -404,12 +405,12 @@ def test_two_first_pooled_calls_make_one_pool(monkeypatch):
         made.append(executor(*args, **kw))
         return made[-1]
 
-    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(compute, "_pool", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         slow_executor)
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
-    x, _ = random_batch(2 * T.CHUNK_ROWS, seed=9)
+    x, _ = random_batch(2 * compute.CHUNK_ROWS, seed=9)
     try:
         first, second = in_threads(
             *[lambda: T.predict_scores(x, cfg, params)] * 2)
@@ -425,7 +426,7 @@ def test_two_first_pooled_calls_make_one_pool(monkeypatch):
 def test_pooled_step_shares_out_the_callers_blas_threads(monkeypatch, count):
     # the workers share the count OpenBLAS had, whatever the cores: a count
     # the caller limited is never raised
-    get, put = T._openblas()
+    get, put = compute._openblas()
     before = get()
     seen = forward_rows(monkeypatch, probe=get)
     x, y = random_batch(64)
@@ -435,7 +436,7 @@ def test_pooled_step_shares_out_the_callers_blas_threads(monkeypatch, count):
         assert get() == count
     finally:
         put(before)
-    assert seen == [(T.CHUNK_ROWS, max(1, count // T.STEP_WORKERS))] * 4
+    assert seen == [(compute.CHUNK_ROWS, max(1, count // compute.STEP_WORKERS))] * 4
 
 
 @needs_pool
@@ -476,8 +477,8 @@ def test_traced_step_runs_the_pooled_microbatches_in_turn(monkeypatch,
     from tracing import Tracer
     x, y = random_batch(70)
     pooled = microbatched_step(x, y, tiny_model())
-    get = T._openblas()[0]
-    share = max(1, get() // T.STEP_WORKERS)
+    get = compute._openblas()[0]
+    share = max(1, get() // compute.STEP_WORKERS)
 
     def probe():
         return get(), busy_workers()
@@ -551,12 +552,12 @@ def test_pooled_prediction_equals_its_chunks_run_in_turn(monkeypatch):
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
     x, _ = random_batch(70, seed=2)
-    get = T._openblas()[0]
-    share = max(1, get() // T.STEP_WORKERS)
+    get = compute._openblas()[0]
+    share = max(1, get() // compute.STEP_WORKERS)
     seen = forward_rows(monkeypatch, probe=lambda: (
         threading.current_thread(), get(), grad_enabled()))
     pooled = T.predict_scores(x, cfg, params)
-    assert isinstance(T._pool, concurrent.futures.ThreadPoolExecutor)
+    assert isinstance(compute._pool, concurrent.futures.ThreadPoolExecutor)
     assert sorted(n for n, _ in seen) == [6, 16, 16, 16, 16]
     assert all(t.name.startswith("hymad-step") and n == share and not grad
                for _, (t, n, grad) in seen)
@@ -584,17 +585,17 @@ def test_pooled_prediction_matches_step_rows_batches_in_turn():
 
 def test_prediction_of_at_most_step_rows_runs_in_the_calling_thread(
         monkeypatch):
-    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(compute, "_pool", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     cfg = tiny_model()
     params = M.init_params(cfg, seed=0)
-    x, _ = random_batch(T.CHUNK_ROWS, seed=4)
+    x, _ = random_batch(compute.CHUNK_ROWS, seed=4)
     seen = forward_rows(monkeypatch, probe=threading.current_thread)
     scores = T.predict_scores(x, cfg, params)
-    assert seen == [(T.CHUNK_ROWS, threading.main_thread())]
-    assert T._pool is None
+    assert seen == [(compute.CHUNK_ROWS, threading.main_thread())]
+    assert compute._pool is None
     assert scores.tobytes() == \
-        sequential_scores(x, cfg, params, T.CHUNK_ROWS).tobytes()
+        sequential_scores(x, cfg, params, compute.CHUNK_ROWS).tobytes()
 
 
 @needs_pool
@@ -636,12 +637,12 @@ def fail(*args, **kw):
 
 
 def test_step_of_at_most_step_rows_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(compute, "_pool", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     threads = threading.active_count()
-    x, y = random_batch(T.CHUNK_ROWS)
+    x, y = random_batch(compute.CHUNK_ROWS)
     microbatched_step(x, y, tiny_model())
-    assert T._pool is None and threading.active_count() == threads
+    assert compute._pool is None and threading.active_count() == threads
 
 
 @needs_pool
@@ -649,11 +650,11 @@ def test_step_of_more_than_chunk_rows_runs_its_chunks_on_the_pool(
         monkeypatch):
     # a B=32 step, as the small config's, runs as two 16-row microbatches
     # on the pool at the workers' BLAS share, not as one 32-row graph here
-    get = T._openblas()[0]
-    share = max(1, get() // T.STEP_WORKERS)
+    get = compute._openblas()[0]
+    share = max(1, get() // compute.STEP_WORKERS)
     seen = forward_rows(monkeypatch,
                         probe=lambda: (threading.current_thread().name, get()))
-    x, y = random_batch(2 * T.CHUNK_ROWS, seed=6)
+    x, y = random_batch(2 * compute.CHUNK_ROWS, seed=6)
     microbatched_step(x, y, tiny_model())
     assert [n for n, _ in seen] == [16, 16]
     assert all(name.startswith("hymad-step") and count == share
@@ -696,14 +697,32 @@ def test_prediction_in_another_thread_leaves_a_step_its_graph():
 def test_one_step_worker_is_the_sequential_step(monkeypatch):
     # no pool, no OpenBLAS or allocator call: the pool's 16-row microbatches
     # one after another, bit for bit the step's loop before it had a pool
-    monkeypatch.setattr(T, "STEP_WORKERS", 1)
-    monkeypatch.setattr(T, "_pool", None)
-    monkeypatch.setattr(T, "_openblas", fail)
+    monkeypatch.setattr(compute, "STEP_WORKERS", 1)
+    monkeypatch.setattr(compute, "_pool", None)
+    monkeypatch.setattr(compute, "_openblas", fail)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     monkeypatch.setattr(ctypes, "CDLL", fail)
     x, y = random_batch(70)
     seen = forward_rows(monkeypatch)
     step = microbatched_step(x, y, tiny_model())
-    assert seen == [(16, None)] * 4 + [(6, None)] and T._pool is None
+    assert seen == [(16, None)] * 4 + [(6, None)] and compute._pool is None
     assert_same_step(step, train_step_sequential(
         x, y, tiny_model(), M.init_params(tiny_model(), seed=0), 16))
+
+
+def test_only_compute_imports_ctypes_or_concurrent_futures():
+    # the process-wide execution state (the step pool, OpenBLAS's thread
+    # count and the glibc calls) lives in one module
+    importers = set()
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "ctypes" or name.startswith(
+                    ("ctypes.", "concurrent.futures")) for name in names):
+                importers.add(path.name)
+    assert importers == {"compute.py"}

@@ -74,8 +74,11 @@ def save_checkpoint(path, cfg: M.ModelConfig, params: dict[str, Tensor]):
         for name in sorted(params):
             data = params[name].data
             enc = name.encode()
-            fh.write(struct.pack(f"<H{len(enc)}sB{data.ndim}I", len(enc), enc,
-                                 data.ndim, *data.shape))
+            fh.write(struct.pack("<H", len(enc)))
+            fh.write(enc)
+            fh.write(struct.pack("<B", data.ndim))
+            for dim in data.shape:
+                fh.write(struct.pack("<I", dim))
             fh.write(data.astype("<f8").tobytes())
 
 
@@ -124,6 +127,12 @@ def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
         data = np.frombuffer(take(8 * math.prod(shape)), "<f8").reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
     return params
+
+
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    perm = rng.permutation(n)
+    for i in range(0, n, batch_size):
+        yield perm[i:i + batch_size]
 
 
 def _chunk_scores(rows: range, x: np.ndarray, cfg: M.ModelConfig,
@@ -233,9 +242,9 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
     t0 = time.time()
 
     for epoch in range(train_cfg.max_epochs):
-        perm, b = rng.permutation(len(x)), train_cfg.batch_size
-        losses = [train_step(x, y, perm[i:i + b], cfg, params, opt, epoch)
-                  for i in range(0, len(x), b)]
+        losses = []
+        for idx in _batches(len(x), train_cfg.batch_size, rng):
+            losses.append(train_step(x, y, idx, cfg, params, opt, epoch))
         record.losses.append(float(np.mean(losses)))
         record.digests.append(params_digest(params))
 

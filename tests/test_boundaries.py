@@ -10,6 +10,7 @@ of a test function and rejects function-scoped fixtures such as `tmp_path`.
 import hashlib
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
@@ -452,12 +453,22 @@ def test_unknown_missing_repeated_or_reshaped_parameter_is_rejected(checkpoint):
     n = len(params)
     assert checkpoint[40:44] == n.to_bytes(4, "little")
     repeated = checkpoint[:40] + (n + 1).to_bytes(4, "little") + record + checkpoint[44:]
+    # the second record, of the same shape and name length, replaced by a copy
+    # of the first: count n and the exact size, so only the record check sees it
+    second = checkpoint_fields(checkpoint)[9:14]
+    assert second[-1][1] - second[0][0] == len(record)
+    in_place = checkpoint[:second[0][0]] + record + checkpoint[second[-1][1]:]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
         path.write_bytes(repeated)
         with pytest.raises(CompatibilityError, match="repeats"):
             T.load_checkpoint(path, tiny_model())
+        path.write_bytes(in_place)
         name = sorted(params)[0]
+        with pytest.raises(CompatibilityError, match=re.escape(
+                f"parameter {name!r} {params[name].shape} "
+                "is not in the model or repeats")):
+            T.load_checkpoint(path, tiny_model())
         for edited in ({**params, "extra.w": params[name]},
                        {k: v for k, v in params.items() if k != name},
                        {**params, name: Tensor(np.zeros(params[name].shape + (1,)))}):

@@ -702,6 +702,7 @@ def test_one_step_worker_is_the_sequential_step(monkeypatch):
     monkeypatch.setattr(compute, "_openblas", fail)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
     monkeypatch.setattr(ctypes, "CDLL", fail)
+    monkeypatch.setattr(compute, "_libc", fail)
     x, y = random_batch(70)
     seen = forward_rows(monkeypatch)
     step = microbatched_step(x, y, tiny_model())

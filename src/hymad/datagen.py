@@ -229,8 +229,10 @@ class DatasetConfig:
                 f"dataset.n_per_class must be >= 1, got {self.n_per_class}")
         if self.seed < 0:
             raise ConfigError(f"dataset.seed must be >= 0, got {self.seed}")
-        if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"dataset.ratios must sum to 1, got {list(self.ratios)}")
+        if len(self.ratios) != 3 or not all(0.0 < r < 1.0 for r in self.ratios) \
+                or abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ConfigError("dataset.ratios must be three values in (0, 1) that "
+                              f"sum to 1, got {list(self.ratios)}")
         if not (0.0 < self.scale_lo <= self.scale_hi < math.inf):
             raise ConfigError("dataset.scale_lo/scale_hi must be finite and "
                               "satisfy 0 < lo <= hi")

@@ -22,6 +22,7 @@ from hymad.tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"HYMD"
 CHECKPOINT_VERSION = 2
+_HEAD = struct.Struct("<4sI32sI")  # magic, version, config digest, count
 
 
 @dataclass
@@ -64,68 +65,58 @@ def params_digest(params: dict[str, Tensor]) -> str:
     return h.hexdigest()
 
 
+def _head(cfg: M.ModelConfig, count: int) -> bytes:
+    return _HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                      bytes.fromhex(cfg.digest()), count)
+
+
+def _layout(params: dict[str, Tensor]) -> list[tuple[str, bytes, tuple]]:
+    """Per parameter, sorted by name: its name, its record head (name length,
+    name, ndim, shape) and its shape; the record's `<f8` data follows."""
+    named = {n: (n.encode(), params[n].shape) for n in sorted(params)}
+    return [(n, struct.pack(f"<H{len(e)}sB{len(s)}I", len(e), e, len(s), *s), s)
+            for n, (e, s) in named.items()]
+
+
 def save_checkpoint(path, cfg: M.ModelConfig, params: dict[str, Tensor]):
-    digest = bytes.fromhex(cfg.digest())
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            data = params[name].data
-            enc = name.encode()
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(data.astype("<f8").tobytes())
+        fh.write(_head(cfg, len(params)))
+        for name, head, _ in _layout(params):
+            fh.write(head)
+            fh.write(params[name].data.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, cfg: M.ModelConfig) -> dict[str, Tensor]:
-    want = {name: t.shape for name, t in M.init_params(cfg).items()}
-    # magic, version, config digest and count, then the model's parameters
-    size = 44 + sum(3 + len(n.encode()) + 4 * len(s) + 8 * math.prod(s)
-                    for n, s in want.items())
+    """Check the file against the model's own layout: head, size, then each
+    record head byte for byte, its data read straight into a fresh array."""
+    layout = _layout(M.init_params(cfg))
+    size = _HEAD.size + sum(len(h) + 8 * math.prod(s) for _, h, s in layout)
     with open(path, "rb") as fh:
-        # past the head, only a file of exactly that size is read
-        have = os.fstat(fh.fileno()).st_size
-        blob = fh.read(size if have == size else 44)
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CompatibilityError(f"{path} is not a checkpoint file")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
+        got = fh.read(_HEAD.size)
+        if not got.startswith(CHECKPOINT_MAGIC):
+            raise CompatibilityError(f"{path} is not a checkpoint file")
+        if len(got) < _HEAD.size:
             raise CompatibilityError(f"{path} is truncated")
-        off += n
-        return blob[off - n:off]
-
-    version, = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise CompatibilityError(f"unsupported checkpoint version {version}")
-    if take(32).hex() != cfg.digest():
-        raise CompatibilityError(
-            "checkpoint config digest does not match the supplied model config")
-    count, = struct.unpack("<I", take(4))
-    if count != len(want):
-        raise CompatibilityError(f"{path} lists {count} parameters, the model "
-                                 f"{len(want)}: one is missing, unknown or repeats")
-    if have != size:
-        raise CompatibilityError(f"{path} has {have - size} trailing bytes"
-                                 if have > size else f"{path} is truncated")
-    params = {}
-    for _ in range(count):
-        nlen, = struct.unpack("<H", take(2))
-        name = take(nlen).decode(errors="replace")
-        ndim, = take(1)
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if name in params or want.get(name) != shape:
+        _, version, digest, count = _HEAD.unpack(got)
+        if version != CHECKPOINT_VERSION:
+            raise CompatibilityError(f"unsupported checkpoint version {version}")
+        if digest.hex() != cfg.digest():
             raise CompatibilityError(
-                f"{path}: parameter {name!r} {shape} is not in the model or repeats")
-        data = np.frombuffer(take(8 * math.prod(shape)), "<f8").reshape(shape)
-        params[name] = Tensor(data.copy(), requires_grad=True)
+                "checkpoint config digest does not match the supplied model config")
+        if count != len(layout):
+            raise CompatibilityError(f"{path} lists {count} parameters, the model "
+                                     f"{len(layout)}: one is missing, unknown or repeats")
+        have = os.fstat(fh.fileno()).st_size
+        if have != size:
+            raise CompatibilityError(f"{path} has {have - size} trailing bytes"
+                                     if have > size else f"{path} is truncated")
+        params = {}
+        for name, head, shape in layout:
+            data = np.empty(shape, "<f8")
+            if fh.read(len(head)) != head or fh.readinto(data) != data.nbytes:
+                raise CompatibilityError(f"{path} does not hold parameter "
+                                         f"{name!r} {shape} where the model puts it")
+            params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -137,15 +128,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def _chunk_scores(rows: range, x: np.ndarray, cfg: M.ModelConfig,
                   params: dict) -> np.ndarray:
-    """The scores of the rows `rows` of `x`; grad mode is per thread, so it
-    sets its own."""
+    """The scores of the rows `rows` of `x`.  Grad mode and the numpy error
+    state are per thread, so it sets its own, as `_microbatch` does."""
     try:
-        with no_grad():
-            return sigmoid(M.forward_batch(x[rows.start:rows.stop], cfg,
-                                           params).data)
-    except NumericError as exc:
-        raise NumericError(
-            f"{exc} at rows {rows.start}-{rows.stop - 1}") from exc
+        with no_grad(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            logits = M.forward_batch(x[rows.start:rows.stop], cfg, params).data
+            if not np.isfinite(logits).all():
+                raise NumericError("non-finite logits")
+    except (FloatingPointError, NumericError) as exc:
+        raise NumericError(f"{exc} at rows {rows.start}-{rows.stop - 1}") from exc
+    return sigmoid(logits)
 
 
 def predict_scores(x: np.ndarray, cfg: M.ModelConfig,

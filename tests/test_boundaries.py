@@ -205,7 +205,8 @@ def test_malformed_manifest_lines_are_rejected(files):
                     (body + 1, lines[body + 1].replace("\t1000\t", "\t10\t")),
                     # parsed, but not a config that `DatasetConfig.validate` passes
                     (key["n_per_class"], "n_per_class = -7\n"),
-                    (key["ratios"], "ratios = 0.5\n"), (key["seed"], "seed = -1\n"),
+                    (key["ratios"], "ratios = 0.5\n"),
+                    (key["ratios"], "ratios = nan,0.5,0.5\n"), (key["seed"], "seed = -1\n"),
                     (key["scale_lo"], "scale_lo = nan\n")):
         assert bad != lines[at]
         edited = lines[:at] + [bad] + lines[at + 1:]
@@ -429,6 +430,48 @@ def test_checkpoint_of_other_values_loads(checkpoint):
             == T.params_digest(other)
 
 
+def test_checkpoint_format_is_pinned_by_its_bytes(tmp_path):
+    # parameters filled from one running count, not drawn, so the file's
+    # bytes depend on the version-2 layout alone
+    params, at = {}, 0
+    for name, t in sorted(M.init_params(tiny_model()).items()):
+        values = np.arange(at, at + t.data.size) / 7 - 3
+        params[name], at = Tensor(values.reshape(t.shape)), at + t.data.size
+    T.save_checkpoint(tmp_path / "m.ckpt", tiny_model(), params)
+    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == \
+        "63486226cfa08fc6b3690860a03a50b629c3c8c34bb402740a206d0138edf074"
+    loaded = T.load_checkpoint(tmp_path / "m.ckpt", tiny_model())
+    assert T.params_digest(loaded) == T.params_digest(params)
+
+
+def test_checkpoint_is_read_in_bounded_memory(tmp_path):
+    # each record's data is read straight into its parameter's array: no
+    # copy of the whole file and no second copy of any parameter is held
+    cfg = M.ModelConfig()
+    params = M.init_params(cfg, seed=3)
+    T.save_checkpoint(tmp_path / "m.ckpt", cfg, params)
+    with traced_peak() as peak:
+        loaded = T.load_checkpoint(tmp_path / "m.ckpt", cfg)
+    assert T.params_digest(loaded) == T.params_digest(params)
+    assert peak[0] < 1.5 * sum(t.data.nbytes for t in params.values())
+
+
+@pytest.mark.parametrize("field", [4, 5, 8, -1])
+def test_checkpoint_that_shrinks_while_it_is_read_is_rejected(checkpoint, field):
+    # the size check sees the whole file, as if it were cut just after it
+    # was opened; then a read inside the first record's name length, name
+    # or data, or inside the last record's data, comes back short
+    start, end = checkpoint_fields(checkpoint)[field]
+    whole = SimpleNamespace(st_size=len(checkpoint))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(checkpoint[:(start + end) // 2])
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(
+                CompatibilityError, match="where the model puts it"):
+            mp.setattr(T.os, "fstat", lambda fd: whole)
+            T.load_checkpoint(path, tiny_model())
+
+
 def test_any_flipped_name_ndim_or_shape_byte_is_rejected(checkpoint):
     # past the file header, each parameter has five fields: name length,
     # name, ndim, shape and data; every byte of the first four is flipped
@@ -464,11 +507,12 @@ def test_unknown_missing_repeated_or_reshaped_parameter_is_rejected(checkpoint):
         with pytest.raises(CompatibilityError, match="repeats"):
             T.load_checkpoint(path, tiny_model())
         path.write_bytes(in_place)
-        name = sorted(params)[0]
+        second_name = sorted(params)[1]
         with pytest.raises(CompatibilityError, match=re.escape(
-                f"parameter {name!r} {params[name].shape} "
-                "is not in the model or repeats")):
+                f"parameter {second_name!r} {params[second_name].shape} "
+                "where the model puts it")):
             T.load_checkpoint(path, tiny_model())
+        name = sorted(params)[0]
         for edited in ({**params, "extra.w": params[name]},
                        {k: v for k, v in params.items() if k != name},
                        {**params, name: Tensor(np.zeros(params[name].shape + (1,)))}):

@@ -155,6 +155,32 @@ def test_nan_test_waveform_is_numeric_error_naming_its_rows(
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["nan_bias", "huge_head"])
+def test_non_finite_logits_are_numeric_error_naming_their_rows(
+        workspace, tmp_path, capsys, edit):
+    # a NaN output bias, or head weights that overflow the logits: scores
+    # from such logits are no scores, so evaluate reports no metrics
+    from hymad import model as M, train as T
+    root, cfg = workspace
+    model_cfg = load_config(cfg)[1]
+    params = M.init_params(model_cfg, seed=0)
+    if edit == "nan_bias":
+        params["mlp.b1"].data[1] = np.nan
+    else:
+        for name in ("mlp.w0", "mlp.w1"):
+            params[name].data *= 1e307
+    ckpt = tmp_path / "m.ckpt"
+    T.save_checkpoint(ckpt, model_cfg, params)
+    rc = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--dataset", str(root / "data"), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("numeric error: ")
+    assert " at rows 0-" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "e" / "report_test.txt").exists()
+
+
 def test_huge_learning_rate_is_one_line_numeric_error(
         workspace, tmp_path, capsys, monkeypatch):
     # the first step moves every parameter by about lr, so the next
@@ -397,12 +423,17 @@ def test_unknown_key_names_field(tmp_path):
 
 
 def test_bad_ratios_is_config_error(tmp_path, capsys):
+    # a sum other than 1, a NaN ratio, or infinite ratios whose sum is NaN
     bad = tmp_path / "bad.ini"
-    bad.write_text("[dataset]\nn_per_class = 10\nratios = 0.8,0.3,0.1\n")
-    rc = cli.main(["generate", "--config", str(bad),
-                   "--out", str(tmp_path / "d")])
-    assert rc == 2
-    capsys.readouterr()
+    for ratios in ("0.8,0.3,0.1", "nan,0.5,0.5", "1e999,-1e999,1.0"):
+        bad.write_text(f"[dataset]\nn_per_class = 10\nratios = {ratios}\n")
+        rc = cli.main(["generate", "--config", str(bad),
+                       "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and "dataset.ratios" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
 
 def test_env_override(tmp_path, monkeypatch):

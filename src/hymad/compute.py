@@ -64,7 +64,9 @@ def _libc():
 
 
 def trim_heap():
-    """Hand the pages that freed arrays leave in glibc's heap back to the OS."""
+    """Hand the pages that freed arrays leave in glibc's heap back to the OS.
+    `datagen` calls it just before it maps a dataset's long-lived split
+    arrays, and `train` does not, so an `evaluate` after it keeps a warm heap."""
     if hasattr(_libc(), "malloc_trim"):
         _libc().malloc_trim(ctypes.c_size_t(0))
 

@@ -253,10 +253,6 @@ def train(dataset: Dataset, model_cfg: M.ModelConfig, train_cfg: TrainConfig,
             break
 
     record.wall_time = time.time() - t0
-    # hand back the heap pages the steps freed, or the next large allocation,
-    # such as a split's array, adds to them: perfbench's train_b128 peak RSS
-    # read 362-389 MB without this and 315 MB with it (2 vCPUs)
-    compute.trim_heap()
     final = {k: Tensor(v, requires_grad=True) for k, v in best.items()}
     if out_dir is not None:
         out = Path(out_dir)

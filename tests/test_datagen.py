@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hymad.errors import ConfigError, LeakageError
-from hymad import datagen as D
+from hymad import compute, datagen as D
 
 
 def small_cfg(seed=0, n=20):
@@ -168,6 +169,11 @@ def test_split_disjoint_and_deterministic():
 def test_split_bad_ratios_rejected():
     with pytest.raises(ConfigError):
         D.split_ids({"a": [1, 2]}, (0.8, 0.1, 0.2), seed=0)
+    # DatasetConfig's rule: with a NaN id 3 would land in two splits, and
+    # these outside (0, 1) would put every id in train
+    for ratios in ((math.nan, 0.5, 0.5), (1.5, -0.25, -0.25)):
+        with pytest.raises(ConfigError, match=r"three values in \(0, 1\)"):
+            D.split_ids({"a": [1, 2, 3]}, ratios, seed=0)
 
 
 # -- build_dataset ------------------------------------------------------------
@@ -284,6 +290,36 @@ def test_shards_hold_the_documented_record_layout(dataset, tmp_path):
                                              dataset.x[split])]
         assert (out / f"{split}.bin").read_bytes() == \
             np.array(records, D.SHARD_RECORD).tobytes()
+
+
+def test_heap_is_trimmed_once_before_the_splits_are_mapped(tmp_path,
+                                                          monkeypatch):
+    # the trim hands the freed heap back before the long-lived split arrays
+    # are allocated or read; a check that holds one wave at a time has none
+    out = D.save_dataset(D.build_dataset(small_cfg(n=10)), tmp_path / "ds")
+    events = []
+    empty, read_shard = np.empty, D._read_shard
+
+    def allocate(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[1:] == (D.SEGMENT_LEN,):
+            events.append("split")
+        return empty(shape, *args, **kwargs)
+
+    def read(*args, **kwargs):
+        events.append("read")
+        return read_shard(*args, **kwargs)
+
+    monkeypatch.setattr(compute, "trim_heap", lambda: events.append("trim"))
+    monkeypatch.setattr(np, "empty", allocate)
+    monkeypatch.setattr(D, "_read_shard", read)
+    D.build_dataset(small_cfg(n=10))
+    assert events == ["trim"] + ["split"] * len(D.SPLITS)
+    events.clear()
+    D.load_dataset(out)
+    assert events == ["trim"] + ["read", "split"] * len(D.SPLITS)
+    events.clear()
+    assert D.verify_shards(out)
+    assert events == ["read", "split"] * len(D.SPLITS)
 
 
 def test_verify_shards_detects_corruption(dataset, tmp_path):

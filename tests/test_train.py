@@ -694,6 +694,16 @@ def test_prediction_in_another_thread_leaves_a_step_its_graph():
         assert_same_step(step, alone)
 
 
+def test_train_and_evaluate_do_not_trim_the_heap(tiny_data, monkeypatch):
+    # the heap is trimmed where a split is mapped (datagen), so an evaluate
+    # after train, as in run_ablations, finds its heap pages still mapped
+    calls = []
+    monkeypatch.setattr(compute, "trim_heap", lambda: calls.append("trim"))
+    params, _ = T.train(tiny_data, tiny_model(), tiny_train(max_epochs=1))
+    T.evaluate(tiny_data, "test", params, tiny_model())
+    assert calls == []
+
+
 def test_one_step_worker_is_the_sequential_step(monkeypatch):
     # no pool, no OpenBLAS or allocator call: the pool's 16-row microbatches
     # one after another, bit for bit the step's loop before it had a pool

@@ -45,6 +45,11 @@ def label_vector(active: list[str]) -> np.ndarray:
     return bits
 
 
+# the combo a record may name, each with its label bits
+COMBOS = {c: label_vector([c]).tolist() for c in CLASSES} | {
+    f"{c1}+{c2}": label_vector([c1, c2]).tolist() for c1, c2 in PAIR_CLASSES}
+
+
 def decide(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Multi-hot prediction: label j iff score_j > threshold (strict); a row
     where nothing fires gets the no_event bit instead of an empty set."""
@@ -53,31 +58,17 @@ def decide(scores: np.ndarray, threshold: float) -> np.ndarray:
     return pred
 
 
-@dataclass
-class Waveform:
-    samples: np.ndarray
-    labels: np.ndarray
-    source_ids: list[int]
-    split: str
-    seed: int
-    sample_id: int = -1
-
-    def __post_init__(self):
-        if self.samples.shape != (SEGMENT_LEN,):
-            raise ConfigError(
-                f"waveform must have {SEGMENT_LEN} samples, got {self.samples.shape}")
-
-
 def normalize(x: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance; degenerate (near-constant) input maps to zeros."""
-    x = np.asarray(x, dtype=np.float64)
+    """Zero mean, unit variance, in place on the float64 array `x`, which it
+    returns; degenerate (near-constant) input maps to zeros."""
     mu = x.mean()
     sd = x.std()
     if sd < 1e-12:
-        return np.zeros_like(x)
-    out = x - mu
-    out /= sd
-    return out
+        x.fill(0.0)
+        return x
+    x -= mu
+    x /= sd
+    return x
 
 
 # -- parametric event models --------------------------------------------------
@@ -143,43 +134,34 @@ def gen_event(cls: str, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError(f"unknown class {cls!r}")
 
 
-def gen_single(cls: str, root_seed: int, index: int, split: str = "train") -> Waveform:
+def gen_single(cls: str, root_seed: int, index: int) -> np.ndarray:
     """Reproducible normalized single-activity waveform."""
     rng = np.random.default_rng([root_seed, LABEL_INDEX[cls], index])
-    return Waveform(normalize(gen_event(cls, rng)), label_vector([cls]),
-                    source_ids=[], split=split, seed=root_seed)
+    return normalize(gen_event(cls, rng))
 
 
-def superpose(primary: Waveform, secondary: Waveform, delay: int,
-              a: float, b: float) -> Waveform:
-    """a*primary + b*shift(secondary, delay), then normalized; labels union.
-
-    Refuses to mix across splits (leakage guard) or past float64 range.
-    """
-    if primary.split != secondary.split:
-        raise LeakageError(
-            f"cannot mix splits {primary.split!r} and {secondary.split!r}")
+def superpose(primary: np.ndarray, secondary: np.ndarray, delay: int,
+              a: float, b: float, out: np.ndarray | None = None) -> np.ndarray:
+    """normalize(a*primary + b*shift(secondary, delay)) written into `out`
+    (a new wave when None, and never one of the two sources), which it
+    returns.  Refuses a delay past half a segment, a scale that is not
+    positive, or a mixture past float64 range."""
     if not (0 <= delay <= SEGMENT_LEN // 2):
         raise ConfigError(f"delay must lie in [0, {SEGMENT_LEN // 2}], got {delay}")
     if a <= 0 or b <= 0:
         raise ConfigError("scales a, b must be positive")
-    shifted = np.zeros(SEGMENT_LEN)
-    shifted[delay:] = secondary.samples[:SEGMENT_LEN - delay]
+    out = np.empty(SEGMENT_LEN) if out is None else out
+    out[:delay] = 0.0
+    out[delay:] = secondary[:SEGMENT_LEN - delay]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # b * shifted + a * primary, in place in `shifted` (see the
-            # event models)
-            shifted *= b
-            shifted += a * primary.samples
-            mixed = normalize(shifted)
+            # b * shifted + a * primary, in place (see the event models)
+            out *= b
+            out += a * primary
+            return normalize(out)
     except FloatingPointError as exc:
         raise ConfigError(f"scales {a!r}, {b!r} overflow the float64 mixture; "
                           "lower dataset.scale_hi") from exc
-    active = [CLASSES[i] for i in range(3)
-              if primary.labels[i] or secondary.labels[i]]
-    return Waveform(mixed, label_vector(active),
-                    source_ids=sorted(set(primary.source_ids) | set(secondary.source_ids)),
-                    split=primary.split, seed=primary.seed)
 
 
 def split_ids(ids_by_class: dict[str, list[int]], ratios=(0.8, 0.1, 0.1),
@@ -275,54 +257,43 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
                 f"split {split!r} is empty; increase n_per_class "
                 "or adjust ratios")
 
-    # hand back the heap the pool workers freed before the long-lived split
-    # arrays are mapped; not at the end of `train`, so that the `evaluate`
-    # after it keeps a warm heap.  perfbench's train_b128 peak RSS read 362-389
-    # MB untrimmed, 315 MB trimmed at the end of `train`, 310 MB here (2 vCPUs)
-    compute.trim_heap()
     # every class splits the same way, so a split of s sources holds s/4 of
     # each class and s/4 mixtures of each of the three pairs: 7s/4 rows
     x = {s: np.empty((7 * len(parts[s]) // 4, SEGMENT_LEN)) for s in SPLITS}
-    rows = {s: iter(x[s]) for s in SPLITS}
+    # hand back the heap the pool workers freed once the long-lived split
+    # arrays have reused what they can of it, and before any row is written;
+    # not at the end of `train`, so that the `evaluate` after it keeps a warm
+    # heap.  perfbench's train_b128 peak RSS read 362-389 MB untrimmed and
+    # 310 MB trimmed here (2 vCPUs)
+    compute.trim_heap()
+    free = {s: iter(x[s]) for s in SPLITS}     # each split's unwritten rows
+    row_of: dict[int, np.ndarray] = {}         # a single's id -> its row
     records: list[SampleRecord] = []
-
-    def keep(w: Waveform, record: SampleRecord) -> Waveform:
-        """Moves w's samples to the next row of its split; keeps the record."""
-        row = next(rows[w.split])
-        row[:] = w.samples
-        w.samples = row
-        records.append(record)
-        return w
-
-    singles = {}
     for sid in range(len(CLASSES) * n):
         cls = CLASSES[sid // n]
         split = next(s for s in SPLITS if sid in parts[s])
-        w = gen_single(cls, cfg.seed, sid % n, split)
-        w.source_ids = [sid]
-        singles[sid] = keep(w, SampleRecord(sid, cls, split, w.labels, [sid],
-                                            seed=cfg.seed))
+        row_of[sid] = next(free[split])
+        row_of[sid][:] = gen_single(cls, cfg.seed, sid % n)
+        records.append(SampleRecord(sid, cls, split, label_vector([cls]), [sid],
+                                    seed=cfg.seed))
 
-    next_id = len(singles)
     for pair_idx, (c1, c2) in enumerate(PAIR_CLASSES):
-        combo = f"{c1}+{c2}"
         for split in SPLITS:
             pool1 = [i for i in ids_by_class[c1] if i in parts[split]]
             pool2 = [i for i in ids_by_class[c2] if i in parts[split]]
             for j in range(len(pool1)):
                 rng = np.random.default_rng([cfg.seed, 0xA0 + pair_idx,
                                              SPLITS.index(split), j])
-                p = singles[int(rng.choice(pool1))]
-                s = singles[int(rng.choice(pool2))]
+                p = int(rng.choice(pool1))
+                s = int(rng.choice(pool2))
                 delay = int(rng.integers(0, cfg.delay_max + 1))
                 # log-uniform scales keep both sources substantially present
-                a, b = np.exp(rng.uniform(np.log(cfg.scale_lo),
-                                          np.log(cfg.scale_hi), 2))
-                mixed = superpose(p, s, delay, float(a), float(b))
-                keep(mixed, SampleRecord(next_id, combo, split, mixed.labels,
-                                         mixed.source_ids, delay, float(a),
-                                         float(b), cfg.seed))
-                next_id += 1
+                a, b = (float(v) for v in np.exp(rng.uniform(
+                    np.log(cfg.scale_lo), np.log(cfg.scale_hi), 2)))
+                superpose(row_of[p], row_of[s], delay, a, b, out=next(free[split]))
+                records.append(SampleRecord(len(records), f"{c1}+{c2}", split,
+                                            label_vector([c1, c2]), sorted({p, s}),
+                                            delay, a, b, cfg.seed))
 
     return Dataset(cfg, records, x)
 
@@ -421,6 +392,7 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
         records = [_parse_record(r.decode().rstrip("\n")) for r in body]
         if len({r.sample_id for r in records}) != len(records):
             raise ValueError("a sample_id repeats")
+        _check_records(records)
         empty = set(SPLITS) - {r.split for r in records}
         if empty:
             raise ValueError(f"no records in split(s) {sorted(empty)}")
@@ -428,6 +400,27 @@ def _read_manifest(path: Path) -> tuple[DatasetConfig, list[SampleRecord], dict]
     except (ValueError, KeyError) as exc:    # a ConfigError is a ValueError
         raise CompatibilityError(f"malformed manifest {file}: {exc}") from exc
     return cfg, records, digests
+
+
+def _check_records(records: list[SampleRecord]) -> None:
+    """The split-before-superposition rule on the records: each source of a
+    record is a single (a record whose only source is itself) of the
+    record's own split, else LeakageError.  Also refuses a combo that is no
+    class or pair, or that its label bits or its sources' combos contradict."""
+    singles = {r.sample_id: r for r in records if r.source_ids == [r.sample_id]}
+    for r in records:
+        if COMBOS.get(r.combo) != r.labels.tolist():
+            raise ValueError(f"record {r.sample_id}: {r.combo!r} is no class "
+                             "or pair with its label bits")
+        for src in r.source_ids:
+            if src not in singles or singles[src].split != r.split:
+                raise LeakageError(f"record {r.sample_id} has source {src}, "
+                                   f"which is not a single of split {r.split!r}")
+        classes = r.combo.split("+")
+        if sorted(singles[s].combo for s in r.source_ids) != sorted(classes) \
+                or len(classes) == 1 and r.sample_id not in singles:
+            raise ValueError(f"record {r.sample_id} ({r.combo}) has sources "
+                             f"{r.source_ids}")
 
 
 def _read_shard(path: Path, split: str, digest: str,

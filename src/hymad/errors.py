@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 
 class LeakageError(ValueError):
-    """An operation would mix waveforms across dataset splits."""
+    """A dataset record's source is not a single of the record's own split."""
 
 
 class CompatibilityError(ValueError):

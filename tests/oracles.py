@@ -20,7 +20,7 @@ from hymad.errors import NumericError, ShapeError
 from hymad.functional import (_softmax_, bce_with_logits, sdpa_backward,
                               sdpa_forward)
 from hymad.metrics import _check_pair, _confusions, _macro
-from hymad.datagen import FS
+from hymad.datagen import FS, SEGMENT_LEN
 from hymad.model import forward_batch, positional_encoding
 from hymad.sincnet import MIN_BAND_HZ, hamming_window
 from hymad.tensor import Tensor, _unbroadcast, concat, no_grad
@@ -359,6 +359,22 @@ def build_filter_composed(f1: Tensor, f2: Tensor, l_len: int) -> Tensor:
     kernels = sub(lowpass_rows(f2 * (1.0 / FS), l_len),
                   lowpass_rows(f1 * (1.0 / FS), l_len))
     return kernels * hamming_window(l_len)
+
+
+def normalize_composed(x: np.ndarray) -> np.ndarray:
+    """datagen.normalize out of place: (x - mu) / sd, or zeros when x is
+    near-constant."""
+    sd = x.std()
+    return np.zeros_like(x) if sd < 1e-12 else (x - x.mean()) / sd
+
+
+def superpose_composed(primary: np.ndarray, secondary: np.ndarray, delay: int,
+                       a: float, b: float) -> np.ndarray:
+    """datagen.superpose out of place: the secondary shifted into a fresh
+    zero-padded wave, scaled and added to the scaled primary, normalized."""
+    shifted = np.zeros(SEGMENT_LEN)
+    shifted[delay:] = secondary[:SEGMENT_LEN - delay]
+    return normalize_composed(b * shifted + a * primary)
 
 
 def macro_prf1(pred, truth) -> tuple[float, float, float]:

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from hymad import datagen as D
 from hymad import model as M
 from hymad import train as T
-from hymad.errors import CompatibilityError
+from hymad.errors import CompatibilityError, LeakageError
 from hymad.tensor import Tensor
 
 probe = settings(max_examples=12)
@@ -266,6 +266,40 @@ def test_redigested_records_that_hold_are_accepted(files):
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(tmp, redigest(files, lines, test=files["test.bin"]))
         assert len(D.load_dataset(tmp).records) == 21
+
+
+@pytest.mark.parametrize("combo, field, value, cause", [
+    # a test mixture lists a train single, or an id that no record holds
+    ("human+animal", 4, "{human.train},{animal.test}", LeakageError),
+    ("human+animal", 4, "{human.test},99", LeakageError),
+    # a single with two sources is no single, so the mixtures of its
+    # split that list it no longer hold
+    ("human", 4, "{human.test},{animal.test}", LeakageError),
+    ("human", 1, "zebra", ValueError),
+    ("human+animal", 1, "human+human", ValueError),
+    ("human", 1, "animal", ValueError),       # a combo its bits contradict
+    ("human+animal", 4, "{human.test}", ValueError),
+    ("human+animal", 4, "{human.test},{vehicle.test}", ValueError),
+], ids=["train-source", "dangling-source", "single-with-two-sources", "zebra",
+        "human+human", "single-combo-not-its-bits", "pair-with-one-source",
+        "pair-source-of-another-class"])
+def test_records_that_break_the_split_rule_or_contradict_are_rejected(
+        files, combo, field, value, cause):
+    # each edit is to a test record and keeps its id and label bits, so the
+    # shards still match and only the checks on the records can refuse it
+    lines, first = record_lines(files)
+    rows = [line.split("\t") for line in lines[first:]]
+    singles = {c: SimpleNamespace(**{r[2]: r[0] for r in rows if r[1] == c})
+               for c in D.CLASSES}
+    at = next(i for i, r in enumerate(rows) if r[1:3] == [combo, "test"])
+    rows[at][field] = value.format(**singles)
+    lines[first + at] = "\t".join(rows[at])
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, redigest(files, lines))
+        with pytest.raises(CompatibilityError) as exc:
+            D.load_dataset(tmp)
+        assert type(exc.value.__cause__) is cause, exc.value
+        assert not D.verify_shards(tmp)
 
 
 def test_label_bit_other_than_0_or_1_is_rejected(files):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -567,17 +568,33 @@ def _edit_manifest_record(data, ckpt):
     (data / "manifest").write_text("".join(lines))
 
 
+def _leak_train_source_into_test_mixture(data, ckpt):
+    # the records' digest is recomputed, so only the split rule refuses it
+    head, body = (data / "manifest").read_text().split("[samples]\n")
+    rows = [line.split("\t") for line in body.splitlines()]
+    train = next(r[0] for r in rows if r[4] == r[0] and r[2] == "train")
+    mix = next(r for r in rows if "+" in r[1] and r[2] == "test")
+    mix[4] = f"{train},{mix[4].split(',')[1]}"
+    body = "".join("\t".join(r) + "\n" for r in rows)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    head = "".join(f"records = {digest}\n" if line.startswith("records = ")
+                   else line for line in head.splitlines(keepends=True))
+    (data / "manifest").write_text(head + "[samples]\n" + body)
+
+
 @pytest.mark.parametrize("damage, extra", [
     (_flip_byte, []), (_flip_byte, ["--ablate"]), (_truncate_shard, []),
     (_malform_manifest_line, []), (_truncate_checkpoint, []), (_pad_checkpoint, []),
     (_set_first_name_byte(0xFF), []), (_set_first_name_byte(ord("z")), []),
     (_flip_manifest_label_bit, []), (_cut_manifest_newline, []),
     (_edit_manifest_record, []), (_set_checkpoint_version_1, []),
+    (_leak_train_source_into_test_mixture, []),
 ], ids=["flipped-shard-byte", "flipped-shard-byte-ablate", "truncated-shard",
         "malformed-manifest-line", "truncated-checkpoint", "trailing-checkpoint-bytes",
         "undecodable-checkpoint-name", "unknown-checkpoint-name",
         "flipped-manifest-label-bit", "manifest-without-final-newline",
-        "edited-manifest-record", "version-1-checkpoint"])
+        "edited-manifest-record", "version-1-checkpoint",
+        "train-source-in-test-mixture"])
 def test_malformed_input_is_compat_error(workspace, tmp_path, capsys, damage, extra):
     import shutil
     from hymad import model as M, train as T

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hymad.errors import ConfigError, LeakageError
+from hymad.errors import ConfigError
 from hymad import compute, datagen as D
+
+from oracles import normalize_composed, superpose_composed
 
 
 def small_cfg(seed=0, n=20):
@@ -17,13 +19,13 @@ def small_cfg(seed=0, n=20):
 def test_same_seed_bit_identical():
     a = D.gen_single("human", 42, 3)
     b = D.gen_single("human", 42, 3)
-    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_different_index_differs():
     a = D.gen_single("human", 42, 3)
     b = D.gen_single("human", 42, 4)
-    assert a.samples.tobytes() != b.samples.tobytes()
+    assert a.tobytes() != b.tobytes()
 
 
 def test_unknown_class_rejected():
@@ -33,8 +35,7 @@ def test_unknown_class_rejected():
 
 def test_vehicle_energy_concentrated_below_100hz():
     for i in range(5):
-        w = D.gen_single("vehicle", 7, i)
-        spec = np.abs(np.fft.rfft(w.samples)) ** 2
+        spec = np.abs(np.fft.rfft(D.gen_single("vehicle", 7, i))) ** 2
         freqs = np.fft.rfftfreq(D.SEGMENT_LEN, 1.0 / D.FS)
         low = spec[freqs < 100.0].sum()
         assert low / spec.sum() >= 0.70
@@ -44,8 +45,7 @@ def test_no_event_spectral_flatness():
     # Welch-averaged periodogram; raw single-window flatness of white noise
     # sits near 0.56, averaging brings it toward 1.
     for i in range(5):
-        w = D.gen_single("no_event", 7, i)
-        segs = w.samples.reshape(16, 500)
+        segs = D.gen_single("no_event", 7, i).reshape(16, 500)
         psd = np.mean(np.abs(np.fft.rfft(segs, axis=1)) ** 2, axis=0)[1:]
         flatness = np.exp(np.mean(np.log(psd))) / np.mean(psd)
         assert flatness >= 0.8
@@ -91,30 +91,43 @@ def test_normalize_constant_input_zeros():
 def test_normalize_idempotent():
     x = np.random.default_rng(1).standard_normal(500)
     once = D.normalize(x)
-    np.testing.assert_allclose(D.normalize(once), once, atol=1e-9)
+    np.testing.assert_allclose(D.normalize(once.copy()), once, atol=1e-9)
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(2).standard_normal(D.SEGMENT_LEN) * 7 + 3,
+    np.full(100, 5.0)], ids=["noise", "constant"])
+def test_normalize_is_the_composition_in_place(x):
+    want = normalize_composed(x)
+    got = D.normalize(x)
+    assert got is x and got.tobytes() == want.tobytes()
 
 
 # -- superpose ----------------------------------------------------------------
 
-def _wave(cls, idx, split="train", seed=5):
-    w = D.gen_single(cls, seed, idx, split)
-    w.sample_id = idx
-    w.source_ids = [idx]
-    return w
+def _wave(cls, idx, seed=5):
+    return D.gen_single(cls, seed, idx)
 
 
 def test_superpose_zero_delay_is_scaled_sum():
     a = _wave("human", 0)
     b = _wave("animal", 1)
     mixed = D.superpose(a, b, 0, 1.0, 1.0)
-    np.testing.assert_allclose(mixed.samples,
-                               D.normalize(a.samples + b.samples), atol=1e-12)
+    np.testing.assert_allclose(mixed, D.normalize(a + b), atol=1e-12)
 
 
-def test_superpose_label_union_and_sources():
-    mixed = D.superpose(_wave("human", 0), _wave("vehicle", 1), 100, 1.0, 2.0)
-    np.testing.assert_array_equal(mixed.labels, [1, 0, 1, 0])
-    assert mixed.source_ids == [0, 1]
+@pytest.mark.parametrize("delay, a, b", [(0, 1.0, 1.0), (1, 0.5, 2.0), (1500, 1.7, 0.6),
+                                         (D.SEGMENT_LEN // 2, 2.0, 0.5)])
+def test_superpose_is_the_composition(delay, a, b):
+    primary, secondary = _wave("human", 0), _wave("vehicle", 1)
+    want = superpose_composed(primary, secondary, delay, a, b).tobytes()
+    assert D.superpose(primary, secondary, delay, a, b).tobytes() == want
+    # a stale row is overwritten whole, its delayed head included
+    out = np.full(D.SEGMENT_LEN, np.nan)
+    assert D.superpose(primary, secondary, delay, a, b, out=out) is out
+    assert out.tobytes() == want
+    assert primary.tobytes() == _wave("human", 0).tobytes()
+    assert secondary.tobytes() == _wave("vehicle", 1).tobytes()
 
 
 def test_superpose_cross_correlation_peaks_at_delay():
@@ -124,16 +137,8 @@ def test_superpose_cross_correlation_peaks_at_delay():
     mixed = D.superpose(a, b, delay, 0.3, 1.0)
     # correlate mixture against the secondary at candidate lags
     lags = range(0, 4000, 100)
-    corrs = [np.dot(mixed.samples[lag:], b.samples[:D.SEGMENT_LEN - lag])
-             for lag in lags]
+    corrs = [np.dot(mixed[lag:], b[:D.SEGMENT_LEN - lag]) for lag in lags]
     assert list(lags)[int(np.argmax(corrs))] == delay
-
-
-def test_superpose_split_leakage_hard_failure():
-    a = _wave("human", 0, "train")
-    b = _wave("animal", 1, "val")
-    with pytest.raises(LeakageError):
-        D.superpose(a, b, 0, 1.0, 1.0)
 
 
 def test_superpose_validates_delay_and_scales():
@@ -192,11 +197,17 @@ def test_dataset_counts(dataset):
 
 
 def test_dataset_pair_labels(dataset):
+    # a mixture's labels are the union of its two sorted sources' labels
     want = {"human+animal": [1, 1, 0, 0], "human+vehicle": [1, 0, 1, 0],
             "vehicle+animal": [0, 1, 1, 0]}
+    by_id = {r.sample_id: r for r in dataset.records}
     for r in dataset.records:
         if r.combo in want:
             np.testing.assert_array_equal(r.labels, want[r.combo])
+            p, s = (by_id[i] for i in r.source_ids)
+            assert p.sample_id < s.sample_id
+            assert sorted([p.combo, s.combo]) == sorted(r.combo.split("+"))
+            np.testing.assert_array_equal(r.labels, p.labels | s.labels)
 
 
 def test_dataset_leakage_free(dataset):
@@ -295,10 +306,11 @@ def test_shards_hold_the_documented_record_layout(dataset, tmp_path):
 def test_heap_is_trimmed_once_before_the_splits_are_mapped(tmp_path,
                                                           monkeypatch):
     # the trim hands the freed heap back before the long-lived split arrays
-    # are allocated or read; a check that holds one wave at a time has none
+    # are read, and in a build once they are allocated but before any row is
+    # written; a check that holds one wave at a time has none
     out = D.save_dataset(D.build_dataset(small_cfg(n=10)), tmp_path / "ds")
     events = []
-    empty, read_shard = np.empty, D._read_shard
+    empty, read_shard, gen_single = np.empty, D._read_shard, D.gen_single
 
     def allocate(shape, *args, **kwargs):
         if isinstance(shape, tuple) and shape[1:] == (D.SEGMENT_LEN,):
@@ -312,8 +324,10 @@ def test_heap_is_trimmed_once_before_the_splits_are_mapped(tmp_path,
     monkeypatch.setattr(compute, "trim_heap", lambda: events.append("trim"))
     monkeypatch.setattr(np, "empty", allocate)
     monkeypatch.setattr(D, "_read_shard", read)
+    monkeypatch.setattr(D, "gen_single",
+                        lambda *args: events.append("single") or gen_single(*args))
     D.build_dataset(small_cfg(n=10))
-    assert events == ["trim"] + ["split"] * len(D.SPLITS)
+    assert events == ["split"] * len(D.SPLITS) + ["trim"] + ["single"] * 40
     events.clear()
     D.load_dataset(out)
     assert events == ["trim"] + ["read", "split"] * len(D.SPLITS)
